@@ -20,9 +20,16 @@ std::vector<double> RecallCurve(const std::vector<size_t>& deletions,
 
 double Auccr(const std::vector<double>& recall_curve) {
   if (recall_curve.empty()) return 0.0;
-  double sum = 0.0;
-  for (double r : recall_curve) sum += r;
-  return 2.0 * sum / static_cast<double>(recall_curve.size());
+  // The ideal curve r_k = k/K is summed with the exact arithmetic
+  // RecallCurve uses, so a perfect explanation scores exactly 1.0.
+  const size_t k_max = recall_curve.size();
+  double area = 0.0;
+  double ideal_area = 0.0;
+  for (size_t k = 0; k < k_max; ++k) {
+    area += recall_curve[k];
+    ideal_area += static_cast<double>(k + 1) / static_cast<double>(k_max);
+  }
+  return area / ideal_area;
 }
 
 double Auccr(const std::vector<size_t>& deletions,

@@ -14,8 +14,9 @@ namespace rain {
 std::vector<double> RecallCurve(const std::vector<size_t>& deletions,
                                 const std::vector<size_t>& corrupted);
 
-/// AUCCR = (2/K) * sum_{k=1..K} r_k — normalized so the perfect curve
-/// (every deletion a true corruption) scores ~1.0.
+/// AUCCR = sum_{k=1..K} r_k / sum_{k=1..K} (k/K): the curve's area over
+/// the ideal curve's area, so the perfect curve (every deletion a true
+/// corruption) scores exactly 1.0.
 double Auccr(const std::vector<double>& recall_curve);
 
 /// Convenience: AUCCR directly from a deletion sequence.

@@ -40,15 +40,12 @@ class Query2Pipeline {
   /// Recomputes prediction views from the current model without training.
   void RefreshPredictions();
 
-  /// \brief Installs externally trained parameters and refreshes the
-  /// prediction views — the commit half of speculative retraining.
+  /// \brief Installs the given parameters and refreshes the prediction
+  /// views.
   ///
-  /// The async debug session trains a `Model::Clone()` on a snapshot of
-  /// the training set while the rank phase still runs; when the
-  /// speculation validates, the clone's parameters are adopted here. For
-  /// parameters produced by `TrainModel` on an identical snapshot this is
-  /// bitwise-equivalent to having called `Train()` synchronously (same
-  /// L-BFGS trajectory, same `PredictProbaMatrix` inputs).
+  /// The full-recompute path of `DebugSession::ApplyUpdate` uses this to
+  /// restore the cold-start parameters captured at session construction,
+  /// so the next turn retrains from scratch.
   void AdoptModelParams(const Vec& params);
 
   /// Drops all provenance accumulated by debug executions.

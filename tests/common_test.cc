@@ -1,13 +1,17 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "common/cancellation.h"
+#include "common/future.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -539,6 +543,92 @@ TEST(TablePrinterTest, CsvEscapesCommasAndQuotes) {
   const std::string csv = t.ToCsv();
   EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
   EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------- tokens
+
+TEST(CancellationTokenTest, FreshTokenDoesNotStop) {
+  CancellationToken token;
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_FALSE(token.deadline_passed());
+  EXPECT_FALSE(token.ShouldStop());
+}
+
+TEST(CancellationTokenTest, CancelIsStickyAndSharedAcrossCopies) {
+  CancellationToken token;
+  CancellationToken copy = token;
+  token.Cancel();
+  EXPECT_TRUE(token.ShouldStop());
+  EXPECT_TRUE(copy.cancelled()) << "copies view the same state";
+}
+
+TEST(CancellationTokenTest, DeadlineArmsAndClears) {
+  CancellationToken token;
+  token.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  EXPECT_TRUE(token.deadline_passed());
+  EXPECT_TRUE(token.ShouldStop());
+  EXPECT_FALSE(token.cancelled()) << "a deadline is not a cancel";
+  token.clear_deadline();
+  EXPECT_FALSE(token.ShouldStop());
+  token.set_deadline(std::chrono::steady_clock::now() + std::chrono::hours(1));
+  EXPECT_FALSE(token.deadline_passed());
+}
+
+TEST(CancellationTokenTest, ChildStopsWithParentButNotViceVersa) {
+  CancellationToken parent;
+  CancellationToken child = parent.MakeChild();
+  CancellationToken sibling = parent.MakeChild();
+
+  child.Cancel();
+  EXPECT_TRUE(child.ShouldStop());
+  EXPECT_FALSE(parent.cancelled()) << "cancelling a child leaves the parent";
+  EXPECT_FALSE(sibling.cancelled()) << "...and its siblings";
+
+  parent.Cancel();
+  EXPECT_TRUE(sibling.cancelled()) << "parent cancellation reaches every child";
+
+  CancellationToken deadline_parent;
+  CancellationToken grandchild = deadline_parent.MakeChild().MakeChild();
+  deadline_parent.set_deadline(std::chrono::steady_clock::now() -
+                               std::chrono::seconds(1));
+  EXPECT_TRUE(grandchild.ShouldStop()) << "deadlines propagate down the tree";
+}
+
+// --------------------------------------------------------------- futures
+
+TEST(FutureTest, ValueFlowsFromPromise) {
+  Promise<int> promise;
+  Future<int> future = promise.future();
+  EXPECT_FALSE(future.Ready());
+  promise.Set(42);
+  EXPECT_TRUE(future.Ready());
+  EXPECT_EQ(future.Get(), 42);
+}
+
+TEST(FutureTest, ExceptionRethrownAtGet) {
+  Promise<int> promise;
+  Future<int> future = promise.future();
+  promise.SetException(std::make_exception_ptr(std::runtime_error("boom")));
+  EXPECT_THROW((void)future.Get(), std::runtime_error);
+}
+
+TEST(FutureTest, GetOutsideThePoolWaitsForAPlainThreadProducer) {
+  // The DebugService pattern: the caller blocks in Get() on a thread the
+  // pool does not own while a plain std::thread (the service's driver)
+  // fulfils the promise later. With nothing queued on the pool, Get()
+  // must sleep on the promise rather than return early.
+  Promise<std::string> promise;
+  Future<std::string> future = promise.future();
+  std::atomic<bool> waiting{false};
+  std::thread producer([promise, &waiting]() mutable {
+    while (!waiting.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    promise.Set("done");
+  });
+  EXPECT_FALSE(future.Ready());
+  waiting.store(true);
+  EXPECT_EQ(future.Get(), "done");
+  producer.join();
 }
 
 }  // namespace
