@@ -126,6 +126,15 @@ Status AccumulateProbaGradients(
     const std::map<std::pair<int32_t, int64_t>, Vec>& weights, Vec* grad,
     int parallelism = 1);
 
+/// \brief The fix phase's deletion pick: the at most `budget` active rows
+/// of `train` that come first in the total order (score descending, row
+/// ascending), best first. For non-NaN scores that is exactly the order a
+/// stable descending sort of every row gives; NaN scores rank after every
+/// number, by row. A bounded selection: O(n log budget) time and
+/// O(budget) memory. `scores` holds one score per row of `train`.
+std::vector<size_t> SelectTopRows(const std::vector<double>& scores,
+                                  const Dataset& train, size_t budget);
+
 /// \brief The Section 5.1 optimizer heuristic: TwoStep is preferred only
 /// when the complaint set pins down a unique prediction repair (all
 /// violated complaints are point complaints); otherwise Holistic.

@@ -11,6 +11,40 @@
 
 namespace rain {
 
+std::vector<size_t> SelectTopRows(const std::vector<double>& scores,
+                                  const Dataset& train, size_t budget) {
+  RAIN_CHECK(scores.size() == train.size())
+      << "one score per training row expected, got " << scores.size()
+      << " for " << train.size() << " rows";
+  // A strict total order: NaN scores after every number, ties by row.
+  const auto before = [&scores](size_t a, size_t b) {
+    const double sa = scores[a];
+    const double sb = scores[b];
+    const bool nan_a = std::isnan(sa);
+    if (nan_a != std::isnan(sb)) return !nan_a;
+    if (!nan_a && sa != sb) return sa > sb;
+    return a < b;
+  };
+  // Max-heap under `before` holding the best rows seen so far; its front
+  // is the worst of them, the one a better row displaces.
+  std::vector<size_t> top;
+  if (budget == 0) return top;
+  top.reserve(std::min(budget, train.num_active()));
+  for (size_t i = 0; i < train.size(); ++i) {
+    if (!train.active(i)) continue;
+    if (top.size() < budget) {
+      top.push_back(i);
+      std::push_heap(top.begin(), top.end(), before);
+    } else if (before(i, top.front())) {
+      std::pop_heap(top.begin(), top.end(), before);
+      top.back() = i;
+      std::push_heap(top.begin(), top.end(), before);
+    }
+  }
+  std::sort_heap(top.begin(), top.end(), before);
+  return top;
+}
+
 Status AccumulateProbaGradients(
     const Catalog& catalog, const Model& model,
     const std::map<std::pair<int32_t, int64_t>, Vec>& weights, Vec* grad,

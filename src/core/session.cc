@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 
 #include "relational/plan.h"
 
@@ -286,10 +285,9 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
     // full rescore with that solution would produce for those rows. This
     // previews post-update scores; the next rank turn's fresh solve
     // supersedes it.
-    std::vector<double> preview(train->size(), 0.0);
-    rep.patched_scores =
-        PatchInfluenceScores(*pipeline_->model(), *train, last_cg_solution_,
-                             batch.TouchedRows(), &preview);
+    rep.preview = PatchInfluenceScores(*pipeline_->model(), *train,
+                                       last_cg_solution_, batch.TouchedRows());
+    rep.patched_scores = rep.preview.size();
   }
 
   for (const BindCacheEntry& e : bind_cache_) {
@@ -696,18 +694,12 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
   // Under sharding, deletions route through the view so the owning
   // shard's active bookkeeping is updated in place alongside the mask.
   ShardedDataset* sharded = pipeline_->mutable_shards();
-  std::vector<size_t> order(train->size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ranked.scores[a] > ranked.scores[b];
-  });
-  int removed = 0;
   const int budget =
       std::min(config_.top_k_per_iter,
                config_.max_deletions - static_cast<int>(report_.deletions.size()));
-  for (size_t idx : order) {
-    if (removed >= budget) break;
-    if (!train->active(idx)) continue;
+  const std::vector<size_t> picked = SelectTopRows(
+      ranked.scores, *train, budget > 0 ? static_cast<size_t>(budget) : 0);
+  for (size_t idx : picked) {
     if (sharded != nullptr) {
       sharded->Deactivate(idx);
     } else {
@@ -715,9 +707,9 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
     }
     report_.deletions.push_back(idx);
     result->new_deletions.push_back(idx);
-    ++removed;
     NotifyDeletion(iteration, idx, ranked.scores[idx]);
   }
+  const int removed = static_cast<int>(picked.size());
   // Deletions change the training data: the current parameters are no
   // longer its optimum.
   if (removed > 0) train_memo_valid_ = false;

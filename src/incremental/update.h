@@ -96,9 +96,15 @@ struct UpdateOptions {
   /// this fraction of the training set. 256 rows on Adult-scale data sit
   /// comfortably below the default.
   double incremental_threshold = 0.25;
-  /// Compute the patched-influence preview (`UpdateReport::patched_*`)
-  /// for touched rows against the last rank turn's CG solution.
+  /// Compute the patched-influence preview (`UpdateReport::preview`) for
+  /// touched rows against the last rank turn's CG solution.
   bool preview_influence = true;
+};
+
+/// One row's influence score in an `ApplyUpdate` preview.
+struct RowScore {
+  size_t row = 0;
+  double score = 0.0;
 };
 
 /// What `ApplyUpdate` did. `incremental == false` means the full
@@ -116,8 +122,13 @@ struct UpdateReport {
   size_t tombstoned_complaints = 0;
   /// True when the batch reopened a session that had finished kResolved.
   bool reopened = false;
-  /// Rows whose influence scores were patched in the preview (0 when no
-  /// rank turn has run yet or the preview was disabled).
+  /// Post-update influence scores of the touched rows, in ascending row
+  /// order, against the last rank turn's CG solution — bitwise what
+  /// `InfluenceScorer::Score` gives those rows under that solution.
+  /// Empty when no rank turn has run yet, the preview was disabled, or
+  /// the full path ran. The next rank turn's fresh solve supersedes it.
+  std::vector<RowScore> preview;
+  /// preview.size(): rows whose influence scores were patched.
   size_t patched_scores = 0;
   double seconds = 0.0;
   std::string note;
@@ -152,29 +163,28 @@ class DeltaLog {
   std::vector<DeltaLogEntry> entries_;
 };
 
-/// \brief Patch influence scores for `touched` rows only, in place.
+/// \brief Influence scores of the `touched` rows only.
 ///
 /// `solution` is the CG solution s = (H + damping I)^-1 q_grad cached
-/// from the last rank turn. For each touched row i this recomputes
+/// from the last rank turn. For each touched row i this computes
 /// score(i) = -grad_l(z_i) . s — exactly the arithmetic
 /// `InfluenceScorer::Score(i)` performs against the same solution, via
 /// the shard-exact coefficient kernels (`LossGradCoeffs` /
 /// `ApplyLossGradCoeffs`) when the model implements them and the
 /// sequential `AddExampleLossGradient` loop otherwise (both addend
 /// sequences are bitwise-identical by the kernel contract). Inactive
-/// rows score 0.0, matching the scorer. Rows outside [0, scores->size())
-/// are ignored.
+/// rows score 0.0, matching the scorer. Rows outside [0, train.size())
+/// are skipped; the result holds one entry per remaining row, in the
+/// order of `touched`.
 ///
 /// This is O(|touched| * d) — the rank-structured correction the
 /// incremental engine uses to preview post-update scores without a new
 /// Hessian solve. It is exact with respect to the *cached* solution; a
 /// new rank turn (new q_grad, new CG solve) supersedes it.
-///
-/// Returns the number of rows patched.
-size_t PatchInfluenceScores(const Model& model, const Dataset& train,
-                            const Vec& solution,
-                            const std::vector<size_t>& touched,
-                            std::vector<double>* scores);
+std::vector<RowScore> PatchInfluenceScores(const Model& model,
+                                           const Dataset& train,
+                                           const Vec& solution,
+                                           const std::vector<size_t>& touched);
 
 }  // namespace rain
 

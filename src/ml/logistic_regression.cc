@@ -25,6 +25,15 @@ double ClampProb(double p) {
   if (p > 1.0 - kProbEps) return 1.0 - kProbEps;
   return p;
 }
+
+/// -log p_y from p1 = sigmoid(margin): the one loss statement shared by
+/// ExampleLoss, the fused loss+gradient body and LossGradCoeffs.
+double LossFromP1(double p1, int y) {
+  return -std::log(ClampProb(y == 1 ? p1 : 1.0 - p1));
+}
+
+/// Rows per batched run in the blocked row bodies (HVP, loss+gradient).
+constexpr size_t kRowBlock = 64;
 }  // namespace
 
 LogisticRegression::LogisticRegression(size_t num_features, bool fit_intercept)
@@ -52,9 +61,7 @@ void LogisticRegression::PredictProba(const double* x, double* probs) const {
 }
 
 double LogisticRegression::ExampleLoss(const double* x, int y) const {
-  const double p1 = Sigmoid(Margin(x));
-  const double py = ClampProb(y == 1 ? p1 : 1.0 - p1);
-  return -std::log(py);
+  return LossFromP1(Sigmoid(Margin(x)), y);
 }
 
 void LogisticRegression::AddExampleLossGradient(const double* x, int y,
@@ -93,19 +100,10 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
         // commuted — per-element products are rounding-identical), so the
         // bits match the former per-row Margin / dot calls exactly, and
         // HvpCoeffs' sharded replay still reproduces this body.
-        constexpr size_t kHvpBlock = 64;
-        double z_blk[kHvpBlock];
-        double xv_blk[kHvpBlock];
-        size_t i = begin;
-        while (i < end) {
-          if (!data.active(i)) {
-            ++i;
-            continue;
-          }
-          size_t r1 = i;
-          while (r1 < end && r1 - i < kHvpBlock && data.active(r1)) ++r1;
-          const size_t nb = r1 - i;
-          const double* xb = data.row(i);
+        double z_blk[kRowBlock];
+        double xv_blk[kRowBlock];
+        ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t first, size_t nb) {
+          const double* xb = data.row(first);
           vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
           vec::simd::Gemv(xb, nb, d_, v.data(), xv_blk);
           for (size_t r = 0; r < nb; ++r) {
@@ -120,17 +118,43 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
             vec::simd::MulAdd(coef, x, acc->data(), d_);
             if (fit_intercept_) (*acc)[d_] += coef;
           }
-          i = r1;
-        }
+        });
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
 }
 
-void LogisticRegression::LossGradCoeffs(const double* x, int y,
-                                        double* coeffs) const {
-  coeffs[0] = Sigmoid(Margin(x)) - static_cast<double>(y);
+void LogisticRegression::AccumulateLossGradient(const Dataset& data,
+                                                size_t begin, size_t end,
+                                                Vec* grad, double* loss) const {
+  // One margin per row feeds both the loss and the gradient coefficient;
+  // runs of active rows batch the margins into one Gemv (each element the
+  // Dot kernel behind Margin, as in the HVP body), so every loss and
+  // addend is bitwise ExampleLoss / AddExampleLossGradient.
+  double z_blk[kRowBlock];
+  double acc = *loss;
+  ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t first, size_t nb) {
+    const double* xb = data.row(first);
+    vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
+    for (size_t r = 0; r < nb; ++r) {
+      const double* x = xb + r * d_;
+      const int y = data.label(first + r);
+      const double p1 = Sigmoid(fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r]);
+      acc += LossFromP1(p1, y);
+      const double coef = p1 - static_cast<double>(y);
+      vec::simd::MulAdd(coef, x, grad->data(), d_);
+      if (fit_intercept_) (*grad)[d_] += coef;
+    }
+  });
+  *loss = acc;
+}
+
+double LogisticRegression::LossGradCoeffs(const double* x, int y,
+                                          double* coeffs) const {
+  const double p1 = Sigmoid(Margin(x));
+  coeffs[0] = p1 - static_cast<double>(y);
+  return LossFromP1(p1, y);
 }
 
 void LogisticRegression::ApplyLossGradCoeffs(const double* x, const double* coeffs,

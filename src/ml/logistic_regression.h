@@ -30,13 +30,15 @@ class LogisticRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
+  void AccumulateLossGradient(const Dataset& data, size_t begin, size_t end,
+                              Vec* grad, double* loss) const override;
   std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels: both the loss gradient and the HVP row
   // body are a single scalar coefficient times [x; 1].
   size_t loss_grad_coeff_size() const override { return 1; }
   size_t hvp_coeff_size() const override { return 1; }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
+  double LossGradCoeffs(const double* x, int y, double* coeffs) const override;
   void ApplyLossGradCoeffs(const double* x, const double* coeffs,
                            Vec* grad) const override;
   void HvpCoeffs(const double* x, int y, const Vec& v,

@@ -1,5 +1,6 @@
 #include "ml/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -7,6 +8,11 @@
 #include "tensor/vector_ops.h"
 
 namespace rain {
+
+namespace {
+/// Rows per batched run in the blocked row bodies (HVP, loss+gradient).
+constexpr size_t kRowBlock = 16;
+}  // namespace
 
 Mlp::Mlp(size_t num_features, size_t hidden_units, int num_classes, uint64_t seed)
     : d_(num_features),
@@ -63,11 +69,11 @@ void Mlp::PredictProba(const double* x, double* probs) const {
 double Mlp::ExampleLoss(const double* x, int y) const {
   Forward f;
   RunForward(x, &f);
-  return -std::log(std::max(f.p[y], 1e-12));
+  return SoftmaxLoss(f.p.data(), y);
 }
 
-void Mlp::Backprop(const double* x, const Forward& f, const Vec& dz2, Vec* grad,
-                   Vec* dz1_out) const {
+void Mlp::Backprop(const double* x, const double* z1, const double* a1,
+                   const double* dz2, double* da1, Vec* grad) const {
   const double* w2 = theta_.data() + OffW2();
   double* gw1 = grad->data() + OffW1();
   double* gb1 = grad->data() + OffB1();
@@ -77,26 +83,23 @@ void Mlp::Backprop(const double* x, const Forward& f, const Vec& dz2, Vec* grad,
   // W2 / b2 grads and da1 = W2^T dz2 — ELEMENTWISE MulAdd keeps each
   // element's rounding identical to the former interleaved statements,
   // so LossGradCoeffs/ApplyLossGradCoeffs replay this path's bits.
-  Vec da1(h_, 0.0);
+  std::fill(da1, da1 + h_, 0.0);
   for (int k = 0; k < c_; ++k) {
     const double g = dz2[k];
     gb2[k] += g;
     double* grow = gw2 + static_cast<size_t>(k) * h_;
     const double* wrow = w2 + static_cast<size_t>(k) * h_;
-    vec::simd::MulAdd(g, f.a1.data(), grow, h_);
-    vec::simd::MulAdd(g, wrow, da1.data(), h_);
+    vec::simd::MulAdd(g, a1, grow, h_);
+    vec::simd::MulAdd(g, wrow, da1, h_);
   }
   // dz1 = da1 * relu'(z1)
-  Vec dz1(h_);
-  for (size_t i = 0; i < h_; ++i) dz1[i] = f.z1[i] > 0.0 ? da1[i] : 0.0;
   for (size_t i = 0; i < h_; ++i) {
-    const double g = dz1[i];
+    const double g = z1[i] > 0.0 ? da1[i] : 0.0;
     gb1[i] += g;
     if (g == 0.0) continue;
     double* grow = gw1 + i * d_;
     vec::simd::MulAdd(g, x, grow, d_);
   }
-  if (dz1_out != nullptr) *dz1_out = std::move(dz1);
 }
 
 void Mlp::AddExampleLossGradient(const double* x, int y, Vec* grad) const {
@@ -104,7 +107,8 @@ void Mlp::AddExampleLossGradient(const double* x, int y, Vec* grad) const {
   RunForward(x, &f);
   Vec dz2 = f.p;
   dz2[y] -= 1.0;
-  Backprop(x, f, dz2, grad);
+  Vec da1(h_);
+  Backprop(x, f.z1.data(), f.a1.data(), dz2.data(), da1.data(), grad);
 }
 
 void Mlp::AddProbaGradient(const double* x, const Vec& class_weights,
@@ -117,7 +121,8 @@ void Mlp::AddProbaGradient(const double* x, const Vec& class_weights,
   for (int k = 0; k < c_; ++k) wp += class_weights[k] * f.p[k];
   Vec dz2(c_);
   for (int k = 0; k < c_; ++k) dz2[k] = f.p[k] * (class_weights[k] - wp);
-  Backprop(x, f, dz2, grad);
+  Vec da1(h_);
+  Backprop(x, f.z1.data(), f.a1.data(), dz2.data(), da1.data(), grad);
 }
 
 void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
@@ -148,23 +153,14 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
         // same position, so each row's forward/R-forward values are
         // bitwise what RunForward and the former per-row loops produced —
         // HvpCoeffs' sharded replay still reproduces this body exactly.
-        constexpr size_t kHvpRows = 16;
         const size_t cc = static_cast<size_t>(c_);
-        std::vector<double> z1_blk(kHvpRows * h_);
-        std::vector<double> rz1_blk(kHvpRows * h_);
-        std::vector<double> a1_blk(kHvpRows * h_);
-        std::vector<double> ra1_blk(kHvpRows * h_);
-        std::vector<double> z2_blk(kHvpRows * cc);
+        std::vector<double> z1_blk(kRowBlock * h_);
+        std::vector<double> rz1_blk(kRowBlock * h_);
+        std::vector<double> a1_blk(kRowBlock * h_);
+        std::vector<double> ra1_blk(kRowBlock * h_);
+        std::vector<double> z2_blk(kRowBlock * cc);
         Vec p(cc), rz2(cc), dz2(cc), rdz2(cc), rda1(h_);
-        size_t n = begin;
-        while (n < end) {
-          if (!data.active(n)) {
-            ++n;
-            continue;
-          }
-          size_t r1 = n;
-          while (r1 < end && r1 - n < kHvpRows && data.active(r1)) ++r1;
-          const size_t nb = r1 - n;
+        ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t n, size_t nb) {
           const double* xb = data.row(n);
 
           // --- Batched forward + R-forward projections. ---
@@ -235,15 +231,58 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
               vec::simd::MulAdd(rg, x, orow, d_);
             }
           }
-          n = r1;
-        }
+        });
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
 }
 
-void Mlp::LossGradCoeffs(const double* x, int y, double* coeffs) const {
+void Mlp::AccumulateLossGradient(const Dataset& data, size_t begin, size_t end,
+                                 Vec* grad, double* loss) const {
+  // One forward pass per row feeds both the loss and the backward pass;
+  // runs of active rows batch z1 = X W1^T and z2 = A1 W2^T into GemmNT
+  // calls (each element the Dot kernel behind RunForward, biases added
+  // afterwards, as in the HVP body), so every loss and addend is bitwise
+  // ExampleLoss / AddExampleLossGradient.
+  const double* w1 = theta_.data() + OffW1();
+  const double* b1 = theta_.data() + OffB1();
+  const double* w2 = theta_.data() + OffW2();
+  const double* b2 = theta_.data() + OffB2();
+  const size_t cc = static_cast<size_t>(c_);
+  std::vector<double> z1_blk(kRowBlock * h_);
+  std::vector<double> a1_blk(kRowBlock * h_);
+  std::vector<double> z2_blk(kRowBlock * cc);
+  Vec da1(h_);
+  double acc = *loss;
+  ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t n, size_t nb) {
+    const double* xb = data.row(n);
+    vec::simd::GemmNT(xb, nb, d_, w1, h_, d_, d_, z1_blk.data(), h_);
+    for (size_t r = 0; r < nb; ++r) {
+      double* z1 = z1_blk.data() + r * h_;
+      double* a1 = a1_blk.data() + r * h_;
+      for (size_t i = 0; i < h_; ++i) {
+        z1[i] = b1[i] + z1[i];
+        a1[i] = z1[i] > 0.0 ? z1[i] : 0.0;
+      }
+    }
+    vec::simd::GemmNT(a1_blk.data(), nb, h_, w2, cc, h_, h_, z2_blk.data(), cc);
+    for (size_t r = 0; r < nb; ++r) {
+      const int y = data.label(n + r);
+      // p, then dz2 = p - e_y, in place over the row's logits.
+      double* p = z2_blk.data() + r * cc;
+      for (size_t k = 0; k < cc; ++k) p[k] = b2[k] + p[k];
+      SoftmaxInPlace(p, c_);
+      acc += SoftmaxLoss(p, y);
+      p[y] -= 1.0;
+      Backprop(xb + r * d_, z1_blk.data() + r * h_, a1_blk.data() + r * h_, p,
+               da1.data(), grad);
+    }
+  });
+  *loss = acc;
+}
+
+double Mlp::LossGradCoeffs(const double* x, int y, double* coeffs) const {
   Forward f;
   RunForward(x, &f);
   double* dz2 = coeffs;                      // C
@@ -261,6 +300,7 @@ void Mlp::LossGradCoeffs(const double* x, int y, double* coeffs) const {
     vec::simd::MulAdd(g, wrow, da1.data(), h_);
   }
   for (size_t i = 0; i < h_; ++i) dz1[i] = f.z1[i] > 0.0 ? da1[i] : 0.0;
+  return SoftmaxLoss(f.p.data(), y);
 }
 
 void Mlp::ApplyLossGradCoeffs(const double* x, const double* coeffs,

@@ -42,6 +42,8 @@ class Mlp : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
+  void AccumulateLossGradient(const Dataset& data, size_t begin, size_t end,
+                              Vec* grad, double* loss) const override;
   std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels. The coefficient blocks carry the
@@ -55,7 +57,7 @@ class Mlp : public Model {
   size_t hvp_coeff_size() const override {
     return 3 * h_ + 2 * static_cast<size_t>(c_);
   }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
+  double LossGradCoeffs(const double* x, int y, double* coeffs) const override;
   void ApplyLossGradCoeffs(const double* x, const double* coeffs,
                            Vec* grad) const override;
   void HvpCoeffs(const double* x, int y, const Vec& v,
@@ -75,10 +77,11 @@ class Mlp : public Model {
   size_t OffB2() const { return h_ * d_ + h_ + static_cast<size_t>(c_) * h_; }
 
   void RunForward(const double* x, Forward* f) const;
-  /// Backprop from dL/dz2 seed into parameter gradient (+=) and returns
-  /// dz1 via `dz1_out` when non-null (needed by the R-op).
-  void Backprop(const double* x, const Forward& f, const Vec& dz2, Vec* grad,
-                Vec* dz1_out = nullptr) const;
+  /// Backprop from the dL/dz2 seed (C values) of a row with forward
+  /// intermediates z1 / a1 (h values each) into the parameter gradient
+  /// (+=). `da1` is h doubles of caller scratch, overwritten.
+  void Backprop(const double* x, const double* z1, const double* a1,
+                const double* dz2, double* da1, Vec* grad) const;
 
   size_t d_;
   size_t h_;

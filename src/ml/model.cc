@@ -1,5 +1,6 @@
 #include "ml/model.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -61,11 +62,52 @@ void Model::MeanLossGradient(const Dataset& data, double l2, Vec* grad) const {
   vec::Axpy(2.0 * l2, params(), grad);
 }
 
+double Model::MeanLossAndGradient(const Dataset& data, double l2,
+                                  Vec* grad) const {
+  RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
+  grad->assign(num_params(), 0.0);
+  const size_t n = data.size();
+  const int parallelism = RowParallelism(n);
+  // The chunk layout and the chunk-ordered combine of both ParallelSum
+  // (MeanLoss) and vec::ParallelAccumulate (MeanLossGradient).
+  const size_t chunks = ParallelChunkCount(parallelism, n, /*min_grain=*/1);
+  double acc = 0.0;
+  if (chunks <= 1) {
+    AccumulateLossGradient(data, 0, n, grad, &acc);
+  } else {
+    std::vector<Vec> grads(chunks, Vec(grad->size(), 0.0));
+    std::vector<double> losses(chunks, 0.0);
+    ParallelFor(parallelism, n, [&](size_t begin, size_t end, size_t chunk) {
+      AccumulateLossGradient(data, begin, end, &grads[chunk], &losses[chunk]);
+    });
+    for (const Vec& g : grads) vec::Axpy(1.0, g, grad);
+    for (double l : losses) acc += l;
+  }
+  const double inv_n = 1.0 / static_cast<double>(data.num_active());
+  for (double& g : *grad) g *= inv_n;
+  vec::Axpy(2.0 * l2, params(), grad);
+  acc /= static_cast<double>(data.num_active());
+  acc += l2 * vec::NormSq(params());
+  return acc;
+}
+
+void Model::AccumulateLossGradient(const Dataset& data, size_t begin, size_t end,
+                                   Vec* grad, double* loss) const {
+  double acc = *loss;
+  for (size_t i = begin; i < end; ++i) {
+    if (!data.active(i)) continue;
+    AddExampleLossGradient(data.row(i), data.label(i), grad);
+    acc += ExampleLoss(data.row(i), data.label(i));
+  }
+  *loss = acc;
+}
+
 // ------------------------------------------------- shard-exact kernels
 
-void Model::LossGradCoeffs(const double*, int, double*) const {
+double Model::LossGradCoeffs(const double*, int, double*) const {
   RAIN_CHECK(false) << "model reports loss_grad_coeff_size() > 0 but does not "
                        "implement LossGradCoeffs";
+  return 0.0;
 }
 
 void Model::ApplyLossGradCoeffs(const double*, const double*, Vec*) const {
@@ -105,101 +147,74 @@ bool RunShardPass(int parallelism, const ShardedDataset& data,
 
 }  // namespace
 
-double Model::ShardedMeanLoss(const ShardedDataset& data, double l2,
-                              const CancellationToken* cancel,
-                              ShardScratch* scratch) const {
+double Model::ShardedMeanLossAndGradient(const ShardedDataset& data, double l2,
+                                         Vec* grad,
+                                         const CancellationToken* cancel,
+                                         ShardScratch* scratch) const {
   const Dataset& base = data.base();
   RAIN_CHECK(base.num_active() > 0) << "loss over empty dataset";
-  // Per-row losses computed shard-parallel, summed in global row order:
-  // exactly the additions of the sequential loop, in the same order.
-  // Caller-lent scratch keeps the per-shard buffers warm across calls;
-  // without one, per-call buffers (pool-draining waits can re-enter this
-  // function on the calling thread, so no hidden thread_local/member).
-  std::vector<Vec> local;
-  std::vector<Vec>& losses = scratch != nullptr ? scratch->loss : local;
-  losses.resize(data.num_shards());
-  const bool complete = RunShardPass(parallelism(), data, cancel, [&](size_t s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    Vec& buf = losses[s];
-    buf.assign(range.size(), 0.0);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      buf[i - range.begin] = ExampleLoss(base.row(i), base.label(i));
-    }
-  });
+  grad->assign(num_params(), 0.0);
   // An interrupted pass leaves buffers unfilled. Return +inf rather than
   // a fabricated finite value: the L-BFGS line search rejects non-finite
   // objectives, so a cancelled evaluation can never be accepted as a
   // spuriously "good" iterate (the trainer then reports the run as
   // interrupted at its own poll).
-  if (!complete) return std::numeric_limits<double>::infinity();
+  constexpr double kInterrupted = std::numeric_limits<double>::infinity();
   double acc = 0.0;
-  for (size_t s = 0; s < data.num_shards(); ++s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      acc += losses[s][i - range.begin];
-    }
-  }
-  acc /= static_cast<double>(base.num_active());
-  acc += l2 * vec::NormSq(params());
-  return acc;
-}
-
-void Model::ShardedMeanLossGradient(const ShardedDataset& data, double l2,
-                                    Vec* grad, const CancellationToken* cancel,
-                                    ShardScratch* scratch) const {
-  const Dataset& base = data.base();
-  RAIN_CHECK(base.num_active() > 0) << "gradient over empty dataset";
-  grad->assign(num_params(), 0.0);
   const size_t csz = loss_grad_coeff_size();
   if (csz == 0) {
     // Model without shard-exact kernels: the sequential loop (bitwise
-    // what MeanLossGradient does at parallelism 1), shards unused. Still
-    // cancellable — poll every block of rows so a stop request does not
-    // stall for a whole data pass (the partial gradient is discarded by
-    // the caller's own interruption check, as in the sharded path).
-    for (size_t i = 0; i < base.size(); ++i) {
-      if (cancel != nullptr && i % kMinParallelRows == 0 && cancel->ShouldStop()) {
-        return;
-      }
-      if (!base.active(i)) continue;
-      AddExampleLossGradient(base.row(i), base.label(i), grad);
+    // what MeanLossAndGradient does at parallelism 1), shards unused.
+    // Still cancellable — poll every block of rows so a stop request does
+    // not stall for a whole data pass.
+    for (size_t i = 0; i < base.size(); i += kMinParallelRows) {
+      if (cancel != nullptr && cancel->ShouldStop()) return kInterrupted;
+      AccumulateLossGradient(base, i, std::min(base.size(), i + kMinParallelRows),
+                             grad, &acc);
     }
   } else {
-    // Scratch reuse is safe even across active-mask changes: the replay
-    // below reads exactly the active-row blocks this call's pass wrote.
-    std::vector<Vec> local;
-    std::vector<Vec>& coeffs = scratch != nullptr ? scratch->grad : local;
+    // Caller-lent scratch keeps the per-shard buffers warm across calls;
+    // without one, per-call buffers (pool-draining waits can re-enter this
+    // function on the calling thread, so no hidden thread_local/member).
+    // Reuse is safe even across active-mask changes: the replay below
+    // reads exactly the active-row slots this call's pass wrote.
+    std::vector<Vec> local_coeffs;
+    std::vector<Vec> local_losses;
+    std::vector<Vec>& coeffs = scratch != nullptr ? scratch->grad : local_coeffs;
+    std::vector<Vec>& losses = scratch != nullptr ? scratch->loss : local_losses;
     coeffs.resize(data.num_shards());
+    losses.resize(data.num_shards());
     const bool complete = RunShardPass(parallelism(), data, cancel, [&](size_t s) {
       const ShardPlan::Range range = data.shard_range(s);
-      Vec& buf = coeffs[s];
-      buf.resize(range.size() * csz);
+      Vec& cbuf = coeffs[s];
+      Vec& lbuf = losses[s];
+      cbuf.resize(range.size() * csz);
+      lbuf.resize(range.size());
       for (size_t i = range.begin; i < range.end; ++i) {
         if (!base.active(i)) continue;
-        LossGradCoeffs(base.row(i), base.label(i),
-                       buf.data() + (i - range.begin) * csz);
+        const size_t r = i - range.begin;
+        lbuf[r] = LossGradCoeffs(base.row(i), base.label(i), cbuf.data() + r * csz);
       }
     });
-    // An interrupted pass leaves coefficient buffers unfilled; the
-    // caller's interruption check discards the output, so skip the
-    // replay rather than read them.
-    if (!complete) return;
-    // Ordered replay: one addend block per row, applied in global row
-    // order — the sequential loop's exact multiply-add sequence.
+    if (!complete) return kInterrupted;
+    // Ordered replay: one addend block and one loss per row, applied in
+    // global row order — the sequential loops' exact operation sequence.
     for (size_t s = 0; s < data.num_shards(); ++s) {
       const ShardPlan::Range range = data.shard_range(s);
       for (size_t i = range.begin; i < range.end; ++i) {
         if (!base.active(i)) continue;
-        ApplyLossGradCoeffs(base.row(i),
-                            coeffs[s].data() + (i - range.begin) * csz, grad);
+        const size_t r = i - range.begin;
+        ApplyLossGradCoeffs(base.row(i), coeffs[s].data() + r * csz, grad);
+        acc += losses[s][r];
       }
     }
   }
   const double inv_n = 1.0 / static_cast<double>(base.num_active());
   for (double& g : *grad) g *= inv_n;
   vec::Axpy(2.0 * l2, params(), grad);
+  acc /= static_cast<double>(base.num_active());
+  acc += l2 * vec::NormSq(params());
+  return acc;
 }
 
 void Model::ShardedHessianVectorProduct(const ShardedDataset& data, const Vec& v,

@@ -18,9 +18,9 @@ namespace rain {
 /// iteration's HVP) those allocations are pure fixed cost. A caller that
 /// owns a scratch and passes it to consecutive calls keeps the buffers
 /// warm — results are bitwise-unchanged because the kernels fully
-/// overwrite every slot they later read (losses are assign()ed; the
-/// coefficient pass writes exactly the active-row blocks the ordered
-/// replay reads back).
+/// overwrite every slot they later read (the coefficient pass writes
+/// exactly the active-row coefficient blocks and loss slots that the
+/// ordered replay reads back).
 ///
 /// Not thread-safe and not re-entrant: a scratch must be live in at most
 /// one kernel call at a time. In particular, the kernels themselves never
@@ -116,6 +116,24 @@ class Model {
   /// grad_theta of MeanLoss; overwrites `grad`.
   void MeanLossGradient(const Dataset& data, double l2, Vec* grad) const;
 
+  /// MeanLoss and MeanLossGradient in one pass over the data — the L-BFGS
+  /// objective. Returns the loss and overwrites `grad`. Rows are chunked
+  /// exactly as ParallelSum / vec::ParallelAccumulate chunk them and the
+  /// per-chunk partials are combined in chunk order, so the loss is
+  /// bitwise MeanLoss and the gradient bitwise MeanLossGradient at every
+  /// parallelism.
+  double MeanLossAndGradient(const Dataset& data, double l2, Vec* grad) const;
+
+  /// The per-chunk body of MeanLossAndGradient: for every active row i in
+  /// [begin, end), in row order, grad += the addends
+  /// AddExampleLossGradient(x_i, y_i) applies and *loss += ExampleLoss(x_i,
+  /// y_i). The default loops those two per-row calls; models override it
+  /// so one forward pass per row feeds both, batched over runs of active
+  /// rows. Overrides must keep every per-row value and every addend
+  /// bitwise what the per-row calls produce.
+  virtual void AccumulateLossGradient(const Dataset& data, size_t begin,
+                                      size_t end, Vec* grad, double* loss) const;
+
   // ----------------------------------------------------------------------
   // Shard-exact per-row kernels (see docs/architecture.md, "Shard plan").
   //
@@ -140,8 +158,9 @@ class Model {
   virtual size_t hvp_coeff_size() const { return 0; }
 
   /// Writes the loss-gradient coefficients of example (x, y) into
-  /// `coeffs` (loss_grad_coeff_size() doubles).
-  virtual void LossGradCoeffs(const double* x, int y, double* coeffs) const;
+  /// `coeffs` (loss_grad_coeff_size() doubles) and returns the example's
+  /// loss, bitwise ExampleLoss(x, y), from the same forward pass.
+  virtual double LossGradCoeffs(const double* x, int y, double* coeffs) const;
   /// grad += the exact addend sequence AddExampleLossGradient(x, y, grad)
   /// would have applied, reconstructed from `coeffs`.
   virtual void ApplyLossGradCoeffs(const double* x, const double* coeffs,
@@ -155,25 +174,24 @@ class Model {
   virtual void ApplyHvpCoeffs(const double* x, const double* coeffs,
                               Vec* out) const;
 
-  /// Shard-parallel regularized mean loss over active rows:
-  /// bitwise-identical to `MeanLoss` at parallelism 1 for every shard
-  /// count and worker count. `cancel` (borrowed, may be null) is polled
-  /// once per shard; on a stop request the result is meaningless and the
-  /// caller must discard it at its own interruption check. `scratch`
-  /// (borrowed, may be null) lends reusable per-shard buffers — see
-  /// ShardScratch for the aliasing rules; results are bitwise-identical
-  /// with or without it.
-  double ShardedMeanLoss(const ShardedDataset& data, double l2,
-                         const CancellationToken* cancel = nullptr,
-                         ShardScratch* scratch = nullptr) const;
-  /// Shard-parallel grad of ShardedMeanLoss; overwrites `grad`. Same
-  /// bitwise, cancellation, and scratch contract as ShardedMeanLoss.
-  void ShardedMeanLossGradient(const ShardedDataset& data, double l2, Vec* grad,
-                               const CancellationToken* cancel = nullptr,
-                               ShardScratch* scratch = nullptr) const;
+  /// Shard-parallel MeanLossAndGradient: returns the regularized mean
+  /// loss over active rows and overwrites `grad` with its gradient, both
+  /// bitwise-identical to MeanLoss / MeanLossGradient at parallelism 1 for
+  /// every shard count and worker count. One coefficient pass per shard
+  /// also writes each row's loss; the ordered replay applies the addends
+  /// and sums the losses in global row order. `cancel` (borrowed, may be
+  /// null) is polled once per shard; an interrupted pass returns +inf
+  /// with a partial `grad`, which the caller discards at its own
+  /// interruption check. `scratch` (borrowed, may be null) lends reusable
+  /// per-shard buffers — see ShardScratch for the aliasing rules; results
+  /// are bitwise-identical with or without it.
+  double ShardedMeanLossAndGradient(const ShardedDataset& data, double l2,
+                                    Vec* grad,
+                                    const CancellationToken* cancel = nullptr,
+                                    ShardScratch* scratch = nullptr) const;
   /// Shard-parallel Hessian-vector product over active rows; overwrites
   /// `out`. Same bitwise, cancellation, and scratch contract as
-  /// ShardedMeanLoss.
+  /// ShardedMeanLossAndGradient (an interrupted pass leaves `out` partial).
   void ShardedHessianVectorProduct(const ShardedDataset& data, const Vec& v,
                                    double l2, Vec* out,
                                    const CancellationToken* cancel = nullptr,
@@ -182,6 +200,25 @@ class Model {
  private:
   int parallelism_ = 1;
 };
+
+/// Calls run(first, count) for each run of consecutive active rows in
+/// [begin, end), split into pieces of at most `cap` rows: the block layout
+/// the models' batched (Gemv / GemmNT) row bodies iterate over.
+template <typename Run>
+void ForEachActiveRun(const Dataset& data, size_t begin, size_t end, size_t cap,
+                      Run&& run) {
+  size_t i = begin;
+  while (i < end) {
+    if (!data.active(i)) {
+      ++i;
+      continue;
+    }
+    size_t r1 = i;
+    while (r1 < end && r1 - i < cap && data.active(r1)) ++r1;
+    run(i, r1 - i);
+    i = r1;
+  }
+}
 
 }  // namespace rain
 

@@ -1,5 +1,6 @@
 #include "ml/softmax_regression.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -18,7 +19,14 @@ inline double DotIntercept(const double* w, const double* x, size_t d,
   return fit_intercept ? z + w[d] : z;
 }
 
+/// Rows per batched run in the blocked row bodies (HVP, loss+gradient).
+constexpr size_t kRowBlock = 32;
+
 }  // namespace
+
+double SoftmaxLoss(const double* p, int y) {
+  return -std::log(std::max(p[y], 1e-12));
+}
 
 void SoftmaxInPlace(double* z, int k) {
   double m = z[0];
@@ -63,8 +71,7 @@ void SoftmaxRegression::PredictProba(const double* x, double* probs) const {
 double SoftmaxRegression::ExampleLoss(const double* x, int y) const {
   std::vector<double> p(c_);
   PredictProba(x, p.data());
-  const double py = std::max(p[y], 1e-12);
-  return -std::log(py);
+  return SoftmaxLoss(p.data(), y);
 }
 
 void SoftmaxRegression::AddExampleLossGradient(const double* x, int y,
@@ -117,22 +124,13 @@ void SoftmaxRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
         // the intercept add happens afterwards in the same position, so
         // the bits match the former per-row calls exactly and HvpCoeffs'
         // sharded replay still reproduces this body.
-        constexpr size_t kHvpRows = 32;
         const size_t cc = static_cast<size_t>(c_);
-        std::vector<double> logit_blk(kHvpRows * cc);
-        std::vector<double> a_blk(kHvpRows * cc);
+        std::vector<double> logit_blk(kRowBlock * cc);
+        std::vector<double> a_blk(kRowBlock * cc);
         std::vector<double> p(cc);
         std::vector<double> a(cc);
-        size_t i = begin;
-        while (i < end) {
-          if (!data.active(i)) {
-            ++i;
-            continue;
-          }
-          size_t r1 = i;
-          while (r1 < end && r1 - i < kHvpRows && data.active(r1)) ++r1;
-          const size_t nb = r1 - i;
-          const double* xb = data.row(i);
+        ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t first, size_t nb) {
+          const double* xb = data.row(first);
           vec::simd::GemmNT(xb, nb, d_, theta_.data(), cc, bs, d_,
                             logit_blk.data(), cc);
           vec::simd::GemmNT(xb, nb, d_, v.data(), cc, bs, d_, a_blk.data(), cc);
@@ -158,21 +156,56 @@ void SoftmaxRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
               if (fit_intercept_) o[d_] += coef;
             }
           }
-          i = r1;
-        }
+        });
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
 }
 
-void SoftmaxRegression::LossGradCoeffs(const double* x, int y,
-                                       double* coeffs) const {
+void SoftmaxRegression::AccumulateLossGradient(const Dataset& data,
+                                               size_t begin, size_t end,
+                                               Vec* grad, double* loss) const {
+  // One softmax per row feeds both the loss and the gradient coefficients;
+  // runs of active rows batch the logits into one GemmNT (each element the
+  // Dot kernel behind DotIntercept, intercept added afterwards, as in the
+  // HVP body), so every loss and addend is bitwise ExampleLoss /
+  // AddExampleLossGradient.
+  const size_t bs = BlockSize();
+  const size_t cc = static_cast<size_t>(c_);
+  std::vector<double> logit_blk(kRowBlock * cc);
+  double acc = *loss;
+  ForEachActiveRun(data, begin, end, kRowBlock, [&](size_t first, size_t nb) {
+    const double* xb = data.row(first);
+    vec::simd::GemmNT(xb, nb, d_, theta_.data(), cc, bs, d_, logit_blk.data(), cc);
+    for (size_t r = 0; r < nb; ++r) {
+      const double* x = xb + r * d_;
+      const int y = data.label(first + r);
+      double* p = logit_blk.data() + r * cc;
+      if (fit_intercept_) {
+        for (int c = 0; c < c_; ++c) p[c] += theta_[static_cast<size_t>(c) * bs + d_];
+      }
+      SoftmaxInPlace(p, c_);
+      acc += SoftmaxLoss(p, y);
+      for (int c = 0; c < c_; ++c) {
+        const double coef = p[c] - (c == y ? 1.0 : 0.0);
+        double* g = grad->data() + static_cast<size_t>(c) * bs;
+        vec::simd::MulAdd(coef, x, g, d_);
+        if (fit_intercept_) g[d_] += coef;
+      }
+    }
+  });
+  *loss = acc;
+}
+
+double SoftmaxRegression::LossGradCoeffs(const double* x, int y,
+                                         double* coeffs) const {
   std::vector<double> p(c_);
   PredictProba(x, p.data());
   for (int c = 0; c < c_; ++c) {
     coeffs[c] = p[c] - (c == y ? 1.0 : 0.0);
   }
+  return SoftmaxLoss(p.data(), y);
 }
 
 void SoftmaxRegression::ApplyLossGradCoeffs(const double* x, const double* coeffs,

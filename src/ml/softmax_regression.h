@@ -30,13 +30,15 @@ class SoftmaxRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
+  void AccumulateLossGradient(const Dataset& data, size_t begin, size_t end,
+                              Vec* grad, double* loss) const override;
   std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels: both row bodies reduce to one
   // coefficient per class times [x; 1].
   size_t loss_grad_coeff_size() const override { return static_cast<size_t>(c_); }
   size_t hvp_coeff_size() const override { return static_cast<size_t>(c_); }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
+  double LossGradCoeffs(const double* x, int y, double* coeffs) const override;
   void ApplyLossGradCoeffs(const double* x, const double* coeffs,
                            Vec* grad) const override;
   void HvpCoeffs(const double* x, int y, const Vec& v,
@@ -57,6 +59,11 @@ class SoftmaxRegression : public Model {
 
 /// In-place softmax over `z` (k values), numerically stable.
 void SoftmaxInPlace(double* z, int k);
+
+/// Cross-entropy -log p_y of softmax output `p`, with p_y floored at
+/// 1e-12 so the loss stays finite. The one loss statement of every
+/// softmax-output model's per-row, fused and coefficient kernels.
+double SoftmaxLoss(const double* p, int y);
 
 }  // namespace rain
 

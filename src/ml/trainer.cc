@@ -32,24 +32,20 @@ Result<TrainReport> TrainModel(Model* model, const Dataset& data,
   Objective objective = [&, shards = config.shards,
                          scratch](const Vec& theta, Vec* grad) {
     model->set_params(theta);
-    if (shards != nullptr) {
-      // Shard-exact path: bitwise what the sequential loops produce, at
-      // every shard count x worker count (see Model's shard kernels).
-      model->ShardedMeanLossGradient(*shards, config.l2, grad, config.cancel,
-                                     scratch.get());
-      const double loss =
-          model->ShardedMeanLoss(*shards, config.l2, config.cancel, scratch.get());
-      // A stop request can interrupt the sharded kernels mid-evaluation,
-      // leaving a partial gradient and a meaningless loss. Poison the
-      // evaluation (+inf fails the line search's isfinite check) so a
-      // cancelled objective is never accepted as an iterate.
-      if (config.cancel != nullptr && config.cancel->ShouldStop()) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return loss;
+    // One data pass per evaluation (see Model::MeanLossAndGradient).
+    if (shards == nullptr) return model->MeanLossAndGradient(data, config.l2, grad);
+    // Shard-exact path: bitwise what the sequential loops produce, at
+    // every shard count x worker count (see Model's shard kernels).
+    const double loss = model->ShardedMeanLossAndGradient(
+        *shards, config.l2, grad, config.cancel, scratch.get());
+    // A stop request can interrupt the sharded kernel mid-evaluation,
+    // leaving a partial gradient. Poison the evaluation (+inf fails the
+    // line search's isfinite check) so a cancelled objective is never
+    // accepted as an iterate.
+    if (config.cancel != nullptr && config.cancel->ShouldStop()) {
+      return std::numeric_limits<double>::infinity();
     }
-    model->MeanLossGradient(data, config.l2, grad);
-    return model->MeanLoss(data, config.l2);
+    return loss;
   };
 
   LbfgsOptions opts;

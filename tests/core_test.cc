@@ -1,10 +1,12 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/complaint.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
@@ -48,6 +50,47 @@ TEST(MetricsTest, ShortDeletionSequencePads) {
 TEST(MetricsTest, EmptyCorruptions) {
   EXPECT_TRUE(RecallCurve({1, 2}, {}).empty());
   EXPECT_DOUBLE_EQ(Auccr(std::vector<double>{}), 0.0);
+}
+
+/// SelectTopRows picks exactly the prefix of a full stable descending
+/// sort (the fix phase's former selection) over the active rows: ties by
+/// row, inactive rows skipped, NaN scores after every number.
+TEST(SelectTopRowsTest, MatchesStableSortReferenceWithTiesInactiveAndNaN) {
+  const size_t n = 300;
+  Dataset train(Matrix(n, 1), std::vector<int>(n, 0), 2);
+  Rng rng(17);
+  std::vector<double> scores(n);
+  // Eight distinct values (including -0.0 and 0.0, which tie) so most
+  // scores are tied, plus an infinity and two NaNs.
+  const double values[] = {-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.25};
+  for (double& v : scores) v = values[rng.UniformInt(8)];
+  scores[11] = std::numeric_limits<double>::infinity();
+  scores[40] = std::numeric_limits<double>::quiet_NaN();
+  scores[7] = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < n; i += 7) train.Deactivate(i);  // row 7 too
+
+  std::vector<size_t> reference;
+  std::vector<size_t> nan_rows;
+  for (size_t i = 0; i < n; ++i) {
+    if (!train.active(i)) continue;
+    (std::isnan(scores[i]) ? nan_rows : reference).push_back(i);
+  }
+  std::stable_sort(reference.begin(), reference.end(),
+                   [&](size_t a, size_t b) { return scores[a] > scores[b]; });
+  reference.insert(reference.end(), nan_rows.begin(), nan_rows.end());
+  ASSERT_EQ(nan_rows, std::vector<size_t>{40});
+  ASSERT_EQ(reference.size(), train.num_active());
+
+  for (size_t budget : {size_t{0}, size_t{1}, size_t{10}, size_t{100},
+                        reference.size() - 1, reference.size(), n + 5}) {
+    const std::vector<size_t> picked = SelectTopRows(scores, train, budget);
+    const size_t expect = std::min(budget, reference.size());
+    EXPECT_EQ(picked, std::vector<size_t>(reference.begin(),
+                                          reference.begin() + expect))
+        << "budget=" << budget;
+  }
+  EXPECT_EQ(SelectTopRows(scores, train, 1), std::vector<size_t>{11});
+  EXPECT_EQ(SelectTopRows(scores, train, n).back(), 40u) << "NaN ranks last";
 }
 
 /// End-to-end fixture: a DBLP-style pipeline with systematic corruptions

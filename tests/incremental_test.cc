@@ -385,7 +385,8 @@ TEST(UpdatePolicyTest, AutoThresholdsOnTouchedFraction) {
 
 /// PatchInfluenceScores reproduces InfluenceScorer's arithmetic exactly:
 /// patching every row against the scorer's own CG solution recovers
-/// ScoreAll() bitwise, and patching a subset touches only that subset.
+/// ScoreAll() bitwise, and patching a subset after a data delta returns
+/// exactly that subset's fresh scores.
 TEST(InfluencePatch, MatchesScorerBitwise) {
   DblpSetup setup = MakeCorruptedDblp();
   Query2Pipeline* pipeline = setup.pipeline.get();
@@ -400,30 +401,104 @@ TEST(InfluencePatch, MatchesScorerBitwise) {
 
   std::vector<size_t> all(train->size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  std::vector<double> patched(train->size(), 0.0);
-  EXPECT_EQ(PatchInfluenceScores(*model, *train, scorer.solution(), all,
-                                 &patched),
-            train->size());
-  EXPECT_EQ(patched, reference);  // bitwise, element for element
+  const std::vector<RowScore> patched =
+      PatchInfluenceScores(*model, *train, scorer.solution(), all);
+  ASSERT_EQ(patched.size(), train->size());
+  for (size_t i = 0; i < patched.size(); ++i) {
+    EXPECT_EQ(patched[i].row, i);
+    EXPECT_EQ(patched[i].score, reference[i]) << i;  // bitwise
+  }
 
-  // Subset patch after a data delta: touched rows get the fresh value,
-  // untouched rows keep the old one.
+  // Subset patch after a data delta: one entry per touched row (rows out
+  // of range skipped), each the full rescore's value for that row.
   Dataset mutated = train->View();
   mutated.set_label(setup.corrupted[0], 1);
   mutated.Deactivate(setup.corrupted[1]);
-  const std::vector<size_t> touched = {setup.corrupted[0], setup.corrupted[1]};
-  std::vector<double> full_rescore(train->size(), 0.0);
-  PatchInfluenceScores(*model, mutated, scorer.solution(), all, &full_rescore);
-  std::vector<double> subset = reference;
-  EXPECT_EQ(PatchInfluenceScores(*model, mutated, scorer.solution(), touched,
-                                 &subset),
-            2u);
-  for (size_t i = 0; i < subset.size(); ++i) {
-    const bool is_touched =
-        std::find(touched.begin(), touched.end(), i) != touched.end();
-    EXPECT_EQ(subset[i], is_touched ? full_rescore[i] : reference[i]) << i;
+  const std::vector<RowScore> full_rescore =
+      PatchInfluenceScores(*model, mutated, scorer.solution(), all);
+  const std::vector<size_t> touched = {setup.corrupted[0], setup.corrupted[1],
+                                       train->size()};
+  const std::vector<RowScore> subset =
+      PatchInfluenceScores(*model, mutated, scorer.solution(), touched);
+  ASSERT_EQ(subset.size(), 2u);
+  for (size_t k = 0; k < subset.size(); ++k) {
+    EXPECT_EQ(subset[k].row, touched[k]);
+    EXPECT_EQ(subset[k].score, full_rescore[touched[k]].score) << k;
   }
-  EXPECT_EQ(subset[setup.corrupted[1]], 0.0);  // deactivated rows score 0
+  EXPECT_NE(subset[0].score, reference[touched[0]]) << "the label edit moves it";
+  EXPECT_EQ(subset[1].score, 0.0);  // deactivated rows score 0
+}
+
+/// Influence ranker with a fixed complaint gradient that keeps its scorer
+/// alive after ranking. The scorer borrows the session's live model and
+/// training set, so after the fix phase and an ApplyUpdate,
+/// scorer->Score(i) is InfluenceScorer's score of row i, on the updated
+/// data, under the CG solution the session cached from this rank turn.
+class KeepScorerRanker : public Ranker {
+ public:
+  explicit KeepScorerRanker(std::unique_ptr<InfluenceScorer>* slot)
+      : slot_(slot) {}
+  std::string name() const override { return "keep-scorer"; }
+  Result<RankOutput> Rank(const RankContext& ctx) override {
+    auto scorer =
+        std::make_unique<InfluenceScorer>(ctx.model, ctx.train, ctx.influence);
+    RAIN_RETURN_NOT_OK(scorer->Prepare(Vec(ctx.model->num_params(), 1.0)));
+    RankOutput out;
+    out.scores = scorer->ScoreAll();
+    out.cg_solution = scorer->solution();
+    *slot_ = std::move(scorer);
+    return out;
+  }
+
+ private:
+  std::unique_ptr<InfluenceScorer>* slot_;
+};
+
+TEST(InfluencePatch, ApplyUpdateReturnsScorerScoresOfTouchedRows) {
+  DblpSetup setup = MakeCorruptedDblp();
+  std::unique_ptr<InfluenceScorer> scorer;
+  auto built =
+      DebugSessionBuilder(setup.pipeline.get())
+          .ranker(std::make_unique<KeepScorerRanker>(&scorer))
+          .top_k_per_iter(10)
+          .max_deletions(60)
+          .set_execution(ExecutionOptions().set_num_shards(TestShards()))
+          .workload({CountComplaint(static_cast<double>(setup.true_count))})
+          .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::unique_ptr<DebugSession> session = std::move(*built);
+  ASSERT_TRUE(session->Step().ok());
+  ASSERT_NE(scorer, nullptr);
+  ASSERT_EQ(session->last_influence_solution(), scorer->solution());
+  ASSERT_FALSE(session->report().deletions.empty());
+
+  // Label edits, a reactivation of a row the fix phase deleted, and a
+  // deactivation: every kind of touched row.
+  UpdateBatch batch = RevertCorruptionBatch(setup.corrupted, 5);
+  const size_t deleted = session->report().deletions[0];
+  batch.reactivate_rows.push_back(deleted);
+  size_t live = 0;
+  while (!setup.pipeline->train_data()->active(live) ||
+         std::find(setup.corrupted.begin(), setup.corrupted.begin() + 5, live) !=
+             setup.corrupted.begin() + 5) {
+    ++live;
+  }
+  batch.deactivate_rows.push_back(live);
+  const std::vector<size_t> touched = batch.TouchedRows();
+
+  auto rep = session->ApplyUpdate(batch);
+  ASSERT_TRUE(rep.ok());
+  ASSERT_TRUE(rep->incremental);
+  ASSERT_EQ(rep->preview.size(), touched.size());
+  EXPECT_EQ(rep->patched_scores, touched.size());
+  size_t nonzero = 0;
+  for (size_t k = 0; k < touched.size(); ++k) {
+    EXPECT_EQ(rep->preview[k].row, touched[k]);
+    EXPECT_EQ(rep->preview[k].score, scorer->Score(touched[k]))  // bitwise
+        << "row " << touched[k];
+    if (rep->preview[k].score != 0.0) ++nonzero;
+  }
+  EXPECT_GE(nonzero, 6u) << "only the deactivated row scores 0";
 }
 
 TEST(InfluencePatch, ApplyUpdatePreviewPatchesTouchedRows) {
@@ -437,6 +512,7 @@ TEST(InfluencePatch, ApplyUpdatePreviewPatchesTouchedRows) {
   ASSERT_TRUE(rep.ok());
   EXPECT_TRUE(rep->incremental);
   EXPECT_EQ(rep->patched_scores, 5u);
+  EXPECT_EQ(rep->preview.size(), 5u);
 
   UpdateOptions no_preview;
   no_preview.preview_influence = false;
@@ -444,6 +520,7 @@ TEST(InfluencePatch, ApplyUpdatePreviewPatchesTouchedRows) {
                                    no_preview);
   ASSERT_TRUE(rep2.ok());
   EXPECT_EQ(rep2->patched_scores, 0u);
+  EXPECT_TRUE(rep2->preview.empty());
 }
 
 // ------------------------------------------------- COW label isolation

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -407,18 +408,21 @@ TEST(MlpTest, CloneKeepsParallelism) {
   EXPECT_EQ(clone->parallelism(), 4);
 }
 
+/// Inactive rows of a 200-row dataset, chosen against the blocked row
+/// bodies' block caps (64 logistic, 32 softmax, 16 MLP): a hole at row 0,
+/// a short run, a run of exactly 64, a triple hole, a run longer than
+/// every cap (block restarts mid-run), and a hole at the last row.
+void DeactivateBlockHoles(Dataset* data) {
+  for (size_t hole : {0u, 5u, 70u, 71u, 72u, 127u, 199u}) data->Deactivate(hole);
+}
+
 /// \brief The blocked HVP bodies batch runs of consecutive ACTIVE rows
 /// into Gemv/GemmNT projections; the per-row HvpCoeffs + ApplyHvpCoeffs
 /// replay must still reproduce the direct path BITWISE (the sharded
 /// debugging paths depend on it).
-///
-/// The hole pattern is chosen against the block caps (64 logistic, 32
-/// softmax, 16 MLP): a hole at row 0, a short run, a run of exactly 64,
-/// a triple hole, a run longer than every cap (block restarts mid-run),
-/// and a hole at the last row.
 void CheckHvpMatchesCoeffReplayBitwise(Model* model, uint64_t seed) {
   Dataset data = RandomDataset(200, 7, model->num_classes(), seed);
-  for (size_t hole : {0u, 5u, 70u, 71u, 72u, 127u, 199u}) data.Deactivate(hole);
+  DeactivateBlockHoles(&data);
   Rng rng(seed + 1);
   Vec v(model->num_params());
   for (double& x : v) x = rng.Gaussian();
@@ -461,6 +465,104 @@ TEST(SoftmaxTest, HvpMatchesCoeffReplayBitwiseWithHoles) {
 TEST(MlpTest, HvpMatchesCoeffReplayBitwiseWithHoles) {
   Mlp m(7, 9, 4, /*seed=*/95);
   CheckHvpMatchesCoeffReplayBitwise(&m, 96);
+}
+
+/// The fused one-pass MeanLossAndGradient (each model's blocked
+/// AccumulateLossGradient) equals the two-pass MeanLoss + MeanLossGradient
+/// pair bitwise at parallelism 1-4. The block-hole pattern above cuts
+/// every model's batched runs, and the parallel chunk boundaries (67/134
+/// at 3 chunks, 50/100/150 at 4) cut them again.
+void CheckFusedLossGradientBitwise(Model* model, uint64_t seed) {
+  Dataset data = RandomDataset(200, 7, model->num_classes(), seed);
+  DeactivateBlockHoles(&data);
+  const double l2 = 1e-3;
+  for (int par : {1, 2, 3, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(par));
+    model->set_parallelism(par);
+    const double loss_ref = model->MeanLoss(data, l2);
+    Vec grad_ref;
+    model->MeanLossGradient(data, l2, &grad_ref);
+    Vec grad;
+    const double loss = model->MeanLossAndGradient(data, l2, &grad);
+    EXPECT_EQ(std::memcmp(&loss, &loss_ref, sizeof(double)), 0)
+        << loss << " vs " << loss_ref;
+    ASSERT_EQ(grad.size(), grad_ref.size());
+    EXPECT_EQ(std::memcmp(grad.data(), grad_ref.data(),
+                          grad.size() * sizeof(double)),
+              0);
+  }
+  model->set_parallelism(1);
+}
+
+TEST(LogisticTest, FusedLossGradientMatchesTwoPassBitwise) {
+  LogisticRegression m(7);
+  RandomizeParams(&m, 101);
+  CheckFusedLossGradientBitwise(&m, 102);
+  LogisticRegression no_bias(7, /*fit_intercept=*/false);
+  RandomizeParams(&no_bias, 103);
+  CheckFusedLossGradientBitwise(&no_bias, 104);
+}
+
+TEST(SoftmaxTest, FusedLossGradientMatchesTwoPassBitwise) {
+  SoftmaxRegression m(7, 4);
+  RandomizeParams(&m, 105);
+  CheckFusedLossGradientBitwise(&m, 106);
+  SoftmaxRegression no_bias(7, 3, /*fit_intercept=*/false);
+  RandomizeParams(&no_bias, 107);
+  CheckFusedLossGradientBitwise(&no_bias, 108);
+}
+
+TEST(MlpTest, FusedLossGradientMatchesTwoPassBitwise) {
+  Mlp m(7, 9, 4, /*seed=*/109);
+  CheckFusedLossGradientBitwise(&m, 110);
+}
+
+/// TrainModel's fused objective takes L-BFGS down exactly the path the
+/// two-pass objective (MeanLossGradient, then MeanLoss) takes: same
+/// iteration count, same final loss, same parameters, bitwise.
+void CheckTrainMatchesTwoPassObjective(Model* model, int parallelism,
+                                       uint64_t seed) {
+  Dataset data = RandomDataset(300, 5, model->num_classes(), seed);
+  DeactivateBlockHoles(&data);
+  TrainConfig cfg;
+  cfg.max_iters = 40;
+  cfg.parallelism = parallelism;
+  std::unique_ptr<Model> two_pass = model->Clone();
+
+  auto report = TrainModel(model, data, cfg);
+  ASSERT_TRUE(report.ok());
+
+  two_pass->set_parallelism(parallelism);
+  Objective objective = [&](const Vec& theta, Vec* grad) {
+    two_pass->set_params(theta);
+    two_pass->MeanLossGradient(data, cfg.l2, grad);
+    return two_pass->MeanLoss(data, cfg.l2);
+  };
+  LbfgsOptions opts;
+  opts.max_iters = cfg.max_iters;
+  opts.grad_tol = cfg.grad_tol;
+  opts.memory = cfg.lbfgs_memory;
+  opts.parallelism = cfg.parallelism;
+  const LbfgsResult res = LbfgsMinimize(objective, two_pass->params(), opts);
+
+  EXPECT_EQ(report->iterations, res.iterations);
+  EXPECT_EQ(std::memcmp(&report->final_loss, &res.fx, sizeof(double)), 0);
+  ASSERT_EQ(model->params().size(), res.x.size());
+  EXPECT_EQ(std::memcmp(model->params().data(), res.x.data(),
+                        res.x.size() * sizeof(double)),
+            0);
+}
+
+TEST(TrainerTest, FusedObjectiveMatchesTwoPassLbfgsBitwise) {
+  for (int par : {1, 3}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(par));
+    LogisticRegression lr(5);
+    CheckTrainMatchesTwoPassObjective(&lr, par, 111);
+    SoftmaxRegression softmax(5, 3);
+    CheckTrainMatchesTwoPassObjective(&softmax, par, 112);
+    Mlp mlp(5, 6, 3, /*seed=*/113);
+    CheckTrainMatchesTwoPassObjective(&mlp, par, 114);
+  }
 }
 
 TEST(TrainerTest, ParallelTrainingReachesSequentialLoss) {

@@ -298,6 +298,11 @@ TEST(DebugServiceTest, DeadlineMidPhaseSurfacesAsResourceExhausted) {
 
   SessionSpec spec = SmallSpec(1);
   spec.max_iterations = 10000;
+  // No other terminal state within reach: the session could otherwise
+  // exhaust a small deletion budget (or resolve) before the deadline on a
+  // fast host.
+  spec.max_deletions = 10000;
+  spec.stop_when_resolved = false;
   spec.exec.set_timeout_seconds(0.005);  // expires inside the first phases
   auto sid = service.Open(spec);
   ASSERT_TRUE(sid.ok());
@@ -344,7 +349,13 @@ TEST(DebugServiceTest, ComplainBetweenTurnsReopensButNotInFlight) {
   options.admission_capacity = 64;
   DebugService service(options);
   ASSERT_TRUE(service.RegisterDataset(SmallAdult()).ok());
-  auto sid = service.Open(SmallSpec(1));
+  // A session that cannot finish on its own, so the turn below is still
+  // in flight when Complain / Report are called, however fast the host.
+  SessionSpec spec = SmallSpec(1);
+  spec.max_iterations = 10000;
+  spec.max_deletions = 10000;
+  spec.stop_when_resolved = false;
+  auto sid = service.Open(spec);
   ASSERT_TRUE(sid.ok());
 
   // Between turns: allowed.
@@ -355,12 +366,13 @@ TEST(DebugServiceTest, ComplainBetweenTurnsReopensButNotInFlight) {
 
   // While a turn is in flight: kInvalidArgument (the unified surface
   // distinguishes caller mistakes from resource refusals).
-  auto future = service.StepAsync(*sid, 50);
+  auto future = service.StepAsync(*sid, 10000);
   const Status in_flight = service.Complain(*sid, points);
   EXPECT_FALSE(in_flight.ok());
   EXPECT_EQ(in_flight.code(), StatusCode::kInvalidArgument);
   const Status report_in_flight = service.Report(*sid).status();
   EXPECT_EQ(report_in_flight.code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(service.Cancel(*sid).ok());
   ASSERT_TRUE(future.Get().ok());
 }
 

@@ -126,9 +126,9 @@ TEST(ShardedDatasetTest, RoutesDeletionsToOwningShard) {
 
 // ------------------------------------------- shard-exact model kernels
 
-/// Asserts the sharded loss/gradient/HVP of `model` over `data` is
-/// bitwise-identical to the sequential (parallelism 1) kernels at every
-/// shard count x worker count.
+/// Asserts the sharded fused loss+gradient and HVP of `model` over `data`
+/// are bitwise-identical to the sequential (parallelism 1) unsharded
+/// MeanLoss / MeanLossGradient / HVP at every shard count x worker count.
 void ExpectShardKernelsBitwise(Model* model, Dataset* data, double l2,
                                uint64_t seed) {
   // A couple of inactive rows so the active-mask handling is exercised.
@@ -152,9 +152,8 @@ void ExpectShardKernelsBitwise(Model* model, Dataset* data, double l2,
       model->set_parallelism(workers);
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " workers=" + std::to_string(workers));
-      EXPECT_EQ(model->ShardedMeanLoss(view, l2), loss_ref);
       Vec grad;
-      model->ShardedMeanLossGradient(view, l2, &grad);
+      EXPECT_EQ(model->ShardedMeanLossAndGradient(view, l2, &grad), loss_ref);
       EXPECT_EQ(grad, grad_ref);
       Vec hvp;
       model->ShardedHessianVectorProduct(view, v, l2, &hvp);
