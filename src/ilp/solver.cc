@@ -200,9 +200,7 @@ bool TryDecomposition(const IlpProblem& problem, int k,
     for (size_t t = 0; t < width; ++t) {
       if (dp[t] == kInf) continue;
       for (const auto& [c, e] : entries) {
-        // Saturating for >= (any surplus above cap counts as cap).
-        int64_t nt = static_cast<int64_t>(t) + c;
-        if (coupling.sense == ConstraintSense::kGe) nt = std::min(nt, cap);
+        const int64_t nt = static_cast<int64_t>(t) + c;
         if (nt >= static_cast<int64_t>(width)) continue;
         const double cost = dp[t] + e->min_cost;
         if (cost < next[nt] - kEps ||
@@ -226,17 +224,12 @@ bool TryDecomposition(const IlpProblem& problem, int k,
       final_t = target;
       best_cost = dp[target];
     }
-  } else if (coupling.sense == ConstraintSense::kLe) {
+  } else {  // kLe
     for (int64_t t = 0; t <= cap; ++t) {
       if (dp[t] < best_cost - kEps) {
         best_cost = dp[t];
         final_t = t;
       }
-    }
-  } else {  // kGe: saturated at cap
-    if (dp[cap] < kInf) {
-      final_t = cap;
-      best_cost = dp[cap];
     }
   }
   out->used_decomposition = true;
@@ -262,16 +255,7 @@ bool TryDecomposition(const IlpProblem& problem, int k,
     for (size_t i = 0; i < table.vars.size(); ++i) {
       out->values[table.vars[i]] = pick.assignment[i];
     }
-    if (coupling.sense == ConstraintSense::kGe && t == cap) {
-      // Saturation: contribution may exceed the step; recompute exactly.
-      int64_t contrib = 0;
-      for (size_t i = 0; i < table.vars.size(); ++i) {
-        if (pick.assignment[i]) contrib += std::llround(coupling_coef[table.vars[i]]);
-      }
-      t = std::max<int64_t>(0, t - contrib);
-    } else {
-      t -= c;
-    }
+    t -= c;
   }
   out->objective = problem.ObjectiveValue(out->values);
   out->feasible = true;
@@ -352,12 +336,12 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
     if (terms.empty()) continue;
     comp_cons[find(terms[0].var)].push_back(static_cast<int>(ci));
   }
-  // coupling_coef[j][var]
-  std::vector<std::vector<double>> coupling_coef(num_couplings,
-                                                 std::vector<double>(n, 0.0));
+  // coupling_coef[j][var], integral (validated above).
+  std::vector<std::vector<int64_t>> coupling_coef(num_couplings,
+                                                  std::vector<int64_t>(n, 0));
   for (size_t j = 0; j < num_couplings; ++j) {
     for (const LinearTerm& t : problem.constraints()[ks[j]].terms) {
-      coupling_coef[j][t.var] = t.coef;
+      coupling_coef[j][t.var] = std::llround(t.coef);
     }
   }
 
@@ -399,9 +383,7 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
         if (!assign[i]) continue;
         cost += problem.objective_coef(comp.vars[i]);
         for (size_t j = 0; j < num_couplings; ++j) {
-          const double cc = coupling_coef[j][comp.vars[i]];
-          if (!IsInt(cc)) return false;
-          contrib[j] += std::llround(cc);
+          contrib[j] += coupling_coef[j][comp.vars[i]];
         }
       }
       MultiOption* opt = nullptr;
@@ -499,12 +481,17 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
   const size_t width = static_cast<size_t>(width64);
   if (stages.size() * width > 80'000'000 / sizeof(float)) return false;  // memory cap
 
+  // Coordinate d moves the linear cell index by stride[d] (coordinate 0
+  // varies fastest).
+  std::vector<int64_t> stride(num_couplings);
+  for (size_t j = 0, s = 1; j < num_couplings; ++j) {
+    stride[j] = static_cast<int64_t>(s);
+    s *= static_cast<size_t>(cap[j] + 1);
+  }
   auto encode = [&](const std::vector<int64_t>& t) {
-    size_t cell = 0;
-    for (size_t j = num_couplings; j-- > 0;) {
-      cell = cell * static_cast<size_t>(cap[j] + 1) + static_cast<size_t>(t[j]);
-    }
-    return cell;
+    int64_t cell = 0;
+    for (size_t j = 0; j < num_couplings; ++j) cell += t[j] * stride[j];
+    return static_cast<size_t>(cell);
   };
   auto decode = [&](size_t cell, std::vector<int64_t>* t) {
     for (size_t j = 0; j < num_couplings; ++j) {
@@ -512,6 +499,10 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
       (*t)[j] = static_cast<int64_t>(cell % radix);
       cell /= radix;
     }
+  };
+  // Steps t (the coordinates of `cell`) to those of cell + 1.
+  auto advance = [&](std::vector<int64_t>* t) {
+    for (size_t j = 0; j < num_couplings && ++(*t)[j] > cap[j]; ++j) (*t)[j] = 0;
   };
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -524,65 +515,89 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
   std::vector<size_t> stage_order(stages.size());
   std::iota(stage_order.begin(), stage_order.end(), size_t{0});
   if (options.randomize && rng != nullptr) rng->Shuffle(&stage_order);
+  const bool tie_break = options.randomize && rng != nullptr;
 
+  // Both transitions visit cells ascending, then j (or the option index)
+  // ascending, and draw from the rng only on a tie at a target that fits,
+  // so `next`, `choice` and the rng stream follow from that order alone.
   dp[0] = 0.0;
-  std::vector<int64_t> t_coord(num_couplings), nt_coord(num_couplings);
+  std::vector<int64_t> t_coord(num_couplings);
+  std::vector<int64_t> base(num_couplings), slope(num_couplings);
+  std::vector<int64_t> opt_offset;
   for (size_t oi = 0; oi < stage_order.size(); ++oi) {
     const Stage& stage = stages[stage_order[oi]];
     const MultiComp& proto = comps[stage.members[0]];
-    const size_t g = stage.members.size();
+    const int64_t g = static_cast<int64_t>(stage.members.size());
     std::fill(next.begin(), next.end(), kInf);
     auto& ch = choice[oi];
-    const bool grouped = proto.options.size() <= 2;
-    for (size_t cell = 0; cell < width; ++cell) {
-      if (dp[cell] == kInf) continue;
-      decode(cell, &t_coord);
-      if (grouped) {
-        // (g - j) members take option 0, j take option 1.
-        const MultiOption& o0 = proto.options[0];
-        const MultiOption* o1 = proto.options.size() > 1 ? &proto.options[1] : nullptr;
-        const size_t jmax = o1 != nullptr ? g : 0;
-        for (size_t j = 0; j <= jmax; ++j) {
-          bool fits = true;
-          for (size_t d = 0; d < num_couplings; ++d) {
-            nt_coord[d] = t_coord[d] +
-                          static_cast<int64_t>(g - j) * o0.contrib[d] +
-                          (o1 != nullptr ? static_cast<int64_t>(j) * o1->contrib[d]
-                                         : 0);
-            if (nt_coord[d] > cap[d]) {
-              fits = false;
-              break;
-            }
+    std::fill(t_coord.begin(), t_coord.end(), 0);
+    if (proto.options.size() <= 2) {
+      // (g - j) members take option 0 and j take option 1: the target is
+      // t + base + j * slope in every coordinate, so the j that fit under
+      // the caps form one interval per cell, and within it (every
+      // coordinate stays in [0, cap]) the target cell moves by slope_lin.
+      const MultiOption& o0 = proto.options[0];
+      const MultiOption* o1 = proto.options.size() > 1 ? &proto.options[1] : nullptr;
+      const int64_t jmax = o1 != nullptr ? g : 0;
+      const double c0 = o0.min_cost;
+      const double c1 = o1 != nullptr ? o1->min_cost : 0.0;
+      int64_t base_lin = 0, slope_lin = 0;
+      for (size_t d = 0; d < num_couplings; ++d) {
+        base[d] = g * o0.contrib[d];
+        slope[d] = o1 != nullptr ? o1->contrib[d] - o0.contrib[d] : 0;
+        base_lin += base[d] * stride[d];
+        slope_lin += slope[d] * stride[d];
+      }
+      for (size_t cell = 0; cell < width; ++cell, advance(&t_coord)) {
+        const double from = dp[cell];
+        if (from == kInf) continue;
+        int64_t jlo = 0, jhi = jmax;
+        for (size_t d = 0; d < num_couplings; ++d) {
+          // Fits iff j * slope[d] <= room.
+          const int64_t room = cap[d] - t_coord[d] - base[d];
+          if (slope[d] > 0) {
+            jhi = std::min(jhi, room < 0 ? -1 : room / slope[d]);
+          } else if (slope[d] < 0) {
+            if (room < 0) jlo = std::max(jlo, (-room - slope[d] - 1) / -slope[d]);
+          } else if (room < 0) {
+            jhi = -1;
           }
-          if (!fits) continue;
-          const size_t nt = encode(nt_coord);
-          const double cost = dp[cell] + static_cast<double>(g - j) * o0.min_cost +
-                              (o1 != nullptr ? static_cast<double>(j) * o1->min_cost
-                                             : 0.0);
+        }
+        int64_t nt = static_cast<int64_t>(cell) + base_lin + jlo * slope_lin;
+        for (int64_t j = jlo; j <= jhi; ++j, nt += slope_lin) {
+          const double cost =
+              from + static_cast<double>(g - j) * c0 + static_cast<double>(j) * c1;
           if (cost < next[nt] - kEps ||
-              (cost < next[nt] + kEps && options.randomize && rng != nullptr &&
-               rng->Bernoulli(0.5))) {
+              (cost < next[nt] + kEps && tie_break && rng->Bernoulli(0.5))) {
             next[nt] = std::min(next[nt], cost);
             ch[nt] = static_cast<int32_t>(j);
           }
         }
-      } else {
+      }
+    } else {
+      opt_offset.assign(proto.options.size(), 0);
+      for (size_t o = 0; o < proto.options.size(); ++o) {
+        for (size_t d = 0; d < num_couplings; ++d) {
+          opt_offset[o] += proto.options[o].contrib[d] * stride[d];
+        }
+      }
+      for (size_t cell = 0; cell < width; ++cell, advance(&t_coord)) {
+        const double from = dp[cell];
+        if (from == kInf) continue;
         for (size_t o = 0; o < proto.options.size(); ++o) {
           const MultiOption& opt = proto.options[o];
           bool fits = true;
           for (size_t d = 0; d < num_couplings; ++d) {
-            nt_coord[d] = t_coord[d] + opt.contrib[d];
-            if (nt_coord[d] > cap[d]) {
+            if (t_coord[d] + opt.contrib[d] > cap[d]) {
               fits = false;
               break;
             }
           }
           if (!fits) continue;
-          const size_t nt = encode(nt_coord);
-          const double cost = dp[cell] + opt.min_cost;
+          const size_t nt = cell + static_cast<size_t>(opt_offset[o]);
+          const double cost = from + opt.min_cost;
           if (cost < next[nt] - kEps ||
-              (cost < next[nt] + kEps && options.randomize && rng != nullptr &&
-               rng->Bernoulli(0.5))) {
+              (cost < next[nt] + kEps && tie_break && rng->Bernoulli(0.5))) {
             next[nt] = std::min(next[nt], cost);
             ch[nt] = static_cast<int32_t>(o);
           }

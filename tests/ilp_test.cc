@@ -19,8 +19,8 @@ IlpSolveOptions NoRandom() {
 
 TEST(IlpProblemTest, ObjectiveAndFeasibility) {
   IlpProblem p;
-  const int a = p.AddVar(1.0, "a");
-  const int b = p.AddVar(2.0, "b");
+  const int a = p.AddVar(1.0);
+  const int b = p.AddVar(2.0);
   p.AddCardinality({a, b}, ConstraintSense::kGe, 1.0);
   EXPECT_EQ(p.num_vars(), 2u);
   EXPECT_DOUBLE_EQ(p.ObjectiveValue({1, 1}), 3.0);
@@ -321,6 +321,122 @@ TEST(IlpSolverTest, MultiCouplingRandomizedSamplesDistinctOptima) {
     seen.insert(sol->values);
   }
   EXPECT_GT(seen.size(), 1u) << "multi-coupling DP must sample distinct optima";
+}
+
+/// Two-class rows whose class 0 feeds coupling `a` and class 1 coupling
+/// `b`: the two options (0,1) < (1,0) give a grouped stage the slope
+/// (1,-1). Rows 0..3 feed only `a`, rows 9..11 only `b`, and two
+/// three-class rows form singleton stages. Rows 12..14 prefer class 1,
+/// which feeds `a` and `b` (class 0 feeds `b`): with rows 1..2 every split
+/// of `a` between the two groups costs the same, so a cell receives
+/// equal-cost offers from many predecessors and the DP's tie draws decide
+/// the returned optimum.
+struct OpposedShaped {
+  IlpProblem p;
+  int a = -1, b = -1;
+};
+
+OpposedShaped MakeOpposedShaped() {
+  OpposedShaped s;
+  std::vector<int> a_vars, b_vars;
+  for (int r = 0; r < 12; ++r) {
+    const int cur = r % 3 == 0 ? 1 : 0;
+    const int v0 = s.p.AddVar(cur == 0 ? 0.0 : 1.0);
+    const int v1 = s.p.AddVar(cur == 1 ? 0.0 : 1.0);
+    s.p.AddCardinality({v0, v1}, ConstraintSense::kEq, 1.0);
+    if (r <= 8) a_vars.push_back(v0);
+    if (r >= 4) b_vars.push_back(v1);
+  }
+  for (int r = 12; r < 15; ++r) {
+    const int v0 = s.p.AddVar(1.0);
+    const int v1 = s.p.AddVar(0.0);
+    s.p.AddCardinality({v0, v1}, ConstraintSense::kEq, 1.0);
+    b_vars.push_back(v0);
+    a_vars.push_back(v1);
+    b_vars.push_back(v1);
+  }
+  for (int r = 0; r < 2; ++r) {
+    const int v0 = s.p.AddVar(1.0);
+    const int v1 = s.p.AddVar(1.0);
+    const int v2 = s.p.AddVar(0.0);
+    s.p.AddCardinality({v0, v1, v2}, ConstraintSense::kEq, 1.0);
+    a_vars.push_back(v0);
+    b_vars.push_back(v1);
+  }
+  s.p.AddCardinality(a_vars, ConstraintSense::kEq, 5.0);
+  s.a = static_cast<int>(s.p.num_constraints()) - 1;
+  s.p.AddCardinality(b_vars, ConstraintSense::kLe, 8.0);
+  s.b = static_cast<int>(s.p.num_constraints()) - 1;
+  return s;
+}
+
+/// Rows 0..9 prefer class 1, which weighs 2 in the kLe coupling `a`
+/// (cap 9): at most four of them fit in class 1, so the cap cuts the
+/// j-range of the six-row group 0..5 in the middle. Coupling `b` (kEq 3)
+/// counts class 1 over rows 6..13 and cuts the four-row group 10..13.
+struct CappedShaped {
+  IlpProblem p;
+  int a = -1, b = -1;
+};
+
+CappedShaped MakeCappedShaped() {
+  CappedShaped s;
+  LinearConstraint a, b;
+  a.sense = ConstraintSense::kLe;
+  a.rhs = 9.0;
+  b.sense = ConstraintSense::kEq;
+  b.rhs = 3.0;
+  for (int r = 0; r < 14; ++r) {
+    const int cur = r < 10 ? 1 : 0;
+    const int v0 = s.p.AddVar(cur == 0 ? 0.0 : 1.0);
+    const int v1 = s.p.AddVar(cur == 1 ? 0.0 : 1.0);
+    s.p.AddCardinality({v0, v1}, ConstraintSense::kEq, 1.0);
+    if (r < 10) a.terms.push_back(LinearTerm{v1, 2.0});
+    if (r >= 6) b.terms.push_back(LinearTerm{v1, 1.0});
+  }
+  s.p.AddConstraint(std::move(a));
+  s.a = static_cast<int>(s.p.num_constraints()) - 1;
+  s.p.AddConstraint(std::move(b));
+  s.b = static_cast<int>(s.p.num_constraints()) - 1;
+  return s;
+}
+
+/// FNV-1a over the randomized multi-coupling solutions for seeds 0..63.
+uint64_t MultiCouplingDigest(const IlpProblem& p, const std::vector<int>& couplings) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](uint64_t byte) {
+    h ^= byte;
+    h *= 1099511628211ULL;
+  };
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    IlpSolveOptions opts;
+    opts.randomize = true;
+    opts.seed = seed;
+    opts.coupling_constraints = couplings;
+    auto sol = SolveIlp(p, opts);
+    EXPECT_TRUE(sol.ok()) << "seed " << seed;
+    if (!sol.ok()) return 0;
+    EXPECT_TRUE(sol->used_decomposition) << "seed " << seed;
+    EXPECT_TRUE(p.IsFeasible(sol->values)) << "seed " << seed;
+    for (uint8_t v : sol->values) mix(v);
+    mix(0xff);
+  }
+  return h;
+}
+
+TEST(IlpSolverTest, MultiCouplingSolutionsPinnedBitwise) {
+  // The grouped DP's transition order, cost arithmetic and rng draws on
+  // ties decide which optimum a randomized solve returns, and TwoStep's
+  // deletion sequences follow from it. These digests pin the returned
+  // optima; an optimisation of the DP must reproduce them exactly. (The
+  // component order comes from std::unordered_map iteration, so the
+  // values assume libstdc++.)
+  const BothShaped both = MakeBothShaped();
+  const OpposedShaped opposed = MakeOpposedShaped();
+  const CappedShaped capped = MakeCappedShaped();
+  EXPECT_EQ(MultiCouplingDigest(both.p, {both.c1, both.c2}), 16037375727654696197ULL);
+  EXPECT_EQ(MultiCouplingDigest(opposed.p, {opposed.a, opposed.b}), 6486697285548258477ULL);
+  EXPECT_EQ(MultiCouplingDigest(capped.p, {capped.a, capped.b}), 16702858439122920253ULL);
 }
 
 // ---------------------------------------------------------------------------

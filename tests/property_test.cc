@@ -128,6 +128,61 @@ TEST_P(DecompositionAgreementTest, ObjectiveMatchesBnb) {
 INSTANTIATE_TEST_SUITE_P(RandomCardinality, DecompositionAgreementTest,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
 
+/// Multi-coupling DP vs B&B: 2-3 overlapping couplings, each counting one
+/// class (weight 1 or 2) over a random subset of rows, mixed kEq/kLe, with
+/// targets at or just below the largest reachable total so the caps cut
+/// the grouped stages' j-ranges.
+class MultiDecompositionAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MultiDecompositionAgreementTest, ObjectiveMatchesBnb) {
+  Rng rng(GetParam());
+  IlpProblem p;
+  const int rows = 6 + static_cast<int>(rng.UniformInt(7));
+  const int classes = 2 + static_cast<int>(rng.UniformInt(2));
+  std::vector<std::vector<int>> class_vars(rows);
+  for (int r = 0; r < rows; ++r) {
+    const int cur = static_cast<int>(rng.UniformInt(classes));
+    for (int c = 0; c < classes; ++c) {
+      class_vars[r].push_back(p.AddVar(c == cur ? 0.0 : 1.0));
+    }
+    p.AddCardinality(class_vars[r], ConstraintSense::kEq, 1.0);
+  }
+  const size_t num_couplings = 2 + rng.UniformInt(2);
+  std::vector<int> couplings;
+  for (size_t k = 0; k < num_couplings; ++k) {
+    LinearConstraint lc;
+    const int cls = static_cast<int>(rng.UniformInt(classes));
+    const double weight = rng.Bernoulli(0.3) ? 2.0 : 1.0;
+    for (int r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(0.6)) lc.terms.push_back(LinearTerm{class_vars[r][cls], weight});
+    }
+    const double max_total = weight * static_cast<double>(lc.terms.size());
+    lc.sense = rng.Bernoulli(0.5) ? ConstraintSense::kEq : ConstraintSense::kLe;
+    lc.rhs = std::max(0.0, max_total - static_cast<double>(rng.UniformInt(3)));
+    p.AddConstraint(std::move(lc));
+    couplings.push_back(static_cast<int>(p.num_constraints()) - 1);
+  }
+
+  IlpSolveOptions fast_opts;
+  fast_opts.randomize = true;
+  fast_opts.seed = GetParam();
+  fast_opts.coupling_constraints = couplings;
+  auto fast = SolveIlp(p, fast_opts);
+
+  IlpSolveOptions slow_opts;
+  slow_opts.randomize = false;
+  auto slow = SolveIlp(p, slow_opts);
+
+  ASSERT_EQ(fast.ok(), slow.ok());
+  if (!fast.ok()) return;
+  EXPECT_TRUE(fast->used_decomposition);
+  EXPECT_NEAR(fast->objective, slow->objective, 1e-6);
+  EXPECT_TRUE(p.IsFeasible(fast->values));
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCouplings, MultiDecompositionAgreementTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{41}));
+
 // ---------------------------------------------------------------------------
 // Executor invariant: the concrete rows of a debug-mode run equal the
 // non-debug output, and every row condition evaluates (under the current
