@@ -1,7 +1,8 @@
 /// Ablation (Appendix D / DESIGN.md §4): warm-start retraining in the
 /// train-rank-fix loop vs cold restarts. Warm starts re-use the previous
-/// optimum as the L-BFGS starting point and should converge in far fewer
-/// iterations after each small deletion batch. Rows are also written to
+/// optimum as the optimizer's starting point and should converge in fewer
+/// iterations after each small deletion batch. The logistic rows count
+/// Newton iterations (exact Hessian), the MLP rows L-BFGS iterations. Rows are also written to
 /// BENCH_warmstart.json; the recorded baseline lives in
 /// bench/baselines/BENCH_warmstart.json (see docs/benchmarks.md).
 #include <cstdio>

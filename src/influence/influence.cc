@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "tensor/cholesky.h"
 
 namespace rain {
 
@@ -48,9 +49,30 @@ void InfluenceScorer::Hvp(const Vec& v, Vec* out, ShardScratch* scratch) const {
   if (options_.damping != 0.0) vec::Axpy(options_.damping, v, out);
 }
 
+Result<bool> InfluenceScorer::FactorHessian(Matrix* factor) const {
+  if (!model_->MeanLossGradientHessian(*train_, options_.l2, nullptr, factor, nullptr)) {
+    return false;
+  }
+  if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
+    return Status::Cancelled("influence solve interrupted");
+  }
+  for (size_t j = 0; j < factor->rows(); ++j) factor->At(j, j) += options_.damping;
+  RAIN_RETURN_NOT_OK(CholeskyFactor(factor));
+  return true;
+}
+
 Status InfluenceScorer::Prepare(const Vec& q_grad) {
   if (q_grad.size() != model_->num_params()) {
     return Status::InvalidArgument("q gradient size does not match model parameters");
+  }
+  Matrix factor;
+  RAIN_ASSIGN_OR_RETURN(const bool exact, FactorHessian(&factor));
+  if (exact) {
+    s_ = q_grad;
+    CholeskySolve(factor, &s_);
+    cg_iterations_ = 0;
+    prepared_ = true;
+    return Status::OK();
   }
   // One CG solve = one sequential chain of HVPs: lend it one scratch so
   // the per-shard coefficient buffers are allocated once, not per
@@ -125,35 +147,64 @@ std::vector<double> InfluenceScorer::ScoreAll() const {
 }
 
 Status InfluenceScorer::SelfInfluenceRange(size_t begin, size_t end,
-                                           const LinearOperator& op,
+                                           const Solver& solve,
                                            std::vector<double>* scores) const {
   Vec grad(model_->num_params(), 0.0);
+  Vec x;
   for (size_t i = begin; i < end; ++i) {
-    // Per-record poll: each record is a full CG solve, so this is
-    // the coarsest check that still stops "within one solve" (the
-    // solve itself polls per HVP through options_.cg.cancel).
+    // Per-record poll: each record is a full solve, so this is the
+    // coarsest check that still stops "within one solve" (a CG solve
+    // itself polls per HVP through options_.cg.cancel).
     if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
       return Status::Cancelled("self-influence scoring interrupted");
     }
     if (!train_->active(i)) continue;
     grad.assign(model_->num_params(), 0.0);
     model_->AddExampleLossGradient(train_->row(i), train_->label(i), &grad);
-    Result<CgReport> report = ConjugateGradient(op, grad, options_.cg);
-    if (!report.ok()) return report.status();
-    (*scores)[i] = -vec::Dot(grad, report->x);
+    RAIN_RETURN_NOT_OK(solve(grad, &x));
+    (*scores)[i] = -vec::Dot(grad, x);
   }
   return Status::OK();
 }
 
 Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() const {
   std::vector<double> scores(train_->size(), 0.0);
-  // One CG solve per active record (the quadratic InfLoss bottleneck);
-  // solves are independent, so partition records across workers — by
+  // The exact path factors H once; each record is then two triangular
+  // solves. Otherwise each record is one CG solve (the quadratic InfLoss
+  // bottleneck).
+  Matrix factor;
+  RAIN_ASSIGN_OR_RETURN(const bool exact, FactorHessian(&factor));
+  // Each partition owns its solver: a CG solver carries its own Hessian
+  // operator + ShardScratch (its HVP chain is sequential, but partitions
+  // run concurrently, so the scratch cannot be shared).
+  auto run_partition = [&](size_t begin, size_t end) {
+    if (exact) {
+      return SelfInfluenceRange(
+          begin, end,
+          [&factor](const Vec& b, Vec* x) {
+            *x = b;
+            CholeskySolve(factor, x);
+            return Status::OK();
+          },
+          &scores);
+    }
+    ShardScratch scratch;
+    LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
+      Hvp(v, out, &scratch);
+    };
+    return SelfInfluenceRange(
+        begin, end,
+        [this, &op](const Vec& b, Vec* x) {
+          RAIN_ASSIGN_OR_RETURN(CgReport report, ConjugateGradient(op, b, options_.cg));
+          *x = std::move(report.x);
+          return Status::OK();
+        },
+        &scores);
+  };
+  // Solves are independent, so partition records across workers — by
   // shard (fanned out through ParallelForCancellable, as in ScoreAll)
   // when a shard plan is installed, by deterministic chunk otherwise.
-  // Each partition owns its own Hessian operator + ShardScratch (its CG
-  // chain is sequential, but partitions run concurrently, so the scratch
-  // cannot be shared) and stops at its first failing solve, recording the
+  // Each partition stops at its first failing solve, recording the
   // status; the lowest-partition (i.e. lowest-record-index) failure is
   // reported, so the returned status matches the sequential loop's
   // regardless of scheduling.
@@ -163,17 +214,13 @@ Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() const {
     const bool complete = ParallelForCancellable(
         options_.parallelism, shards.num_shards(), options_.cancel,
         [&](size_t begin, size_t end, size_t) {
-          ShardScratch scratch;
-          LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-            Hvp(v, out, &scratch);
-          };
           for (size_t s = begin; s < end; ++s) {
             if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
               shard_status[s] = Status::Cancelled("self-influence scoring interrupted");
               return;
             }
             const ShardPlan::Range range = shards.shard_range(s);
-            shard_status[s] = SelfInfluenceRange(range.begin, range.end, op, &scores);
+            shard_status[s] = run_partition(range.begin, range.end);
             if (!shard_status[s].ok()) return;
           }
         });
@@ -189,11 +236,7 @@ Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() const {
   const bool complete = ParallelForCancellable(
       options_.parallelism, train_->size(), options_.cancel,
       [&](size_t begin, size_t end, size_t chunk) {
-        ShardScratch scratch;
-        LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-          Hvp(v, out, &scratch);
-        };
-        chunk_status[chunk] = SelfInfluenceRange(begin, end, op, &scores);
+        chunk_status[chunk] = run_partition(begin, end);
       });
   for (const Status& status : chunk_status) {
     if (!status.ok()) return status;

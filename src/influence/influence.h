@@ -1,6 +1,7 @@
 #ifndef RAIN_INFLUENCE_INFLUENCE_H_
 #define RAIN_INFLUENCE_INFLUENCE_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -48,8 +49,16 @@ struct InfluenceOptions {
 ///     score(z) = -grad q(theta*)^T  H^{-1}  grad l(z, theta*).
 /// Removing a record with a large positive score is predicted to decrease
 /// q the most (i.e., to best address the user complaints). H is the
-/// Hessian of the regularized mean training loss over active records,
-/// and H^{-1} v is computed Hessian-free with conjugate gradient.
+/// Hessian of the regularized mean training loss over active records.
+///
+/// Two solvers. When the model has an exact Hessian at `l2`
+/// (Model::MeanLossGradientHessian; small logistic models with l2 > 0),
+/// H is formed exactly in one data pass, `damping`
+/// is added to its diagonal, and it is Cholesky-factored: Prepare is one
+/// pass plus two triangular solves and cg_iterations() is 0. The pass is
+/// bitwise identical at every worker and shard count. Every other model
+/// solves Hessian-free with conjugate gradient over Hessian-vector
+/// products.
 class InfluenceScorer {
  public:
   /// Neither pointer is owned; both must outlive the scorer. `train` rows
@@ -67,10 +76,11 @@ class InfluenceScorer {
   /// Scores for every training record (inactive rows get 0).
   std::vector<double> ScoreAll() const;
 
-  /// Number of CG iterations used by Prepare (runtime accounting).
+  /// Number of CG iterations used by Prepare (runtime accounting); 0 on
+  /// the exact-Hessian path.
   int cg_iterations() const { return cg_iterations_; }
 
-  /// The CG solution s = (H + damping I)^-1 q_grad computed by Prepare
+  /// The solution s = (H + damping I)^-1 q_grad computed by Prepare
   /// (empty before Prepare). The incremental engine caches this to patch
   /// scores of delta-touched rows without a new Hessian solve
   /// (`PatchInfluenceScores`, src/incremental/update.h).
@@ -96,8 +106,10 @@ class InfluenceScorer {
   ///     self(z) = -grad l(z)^T H^{-1} grad l(z)   (always <= 0).
   /// Records whose removal *increases their own loss* the most (largest
   /// negative value) rank at the top, so the baseline sorts ascending.
-  /// Requires one CG solve per active record — this is the quadratic
-  /// bottleneck the paper reports (InfLoss takes 46s/iter vs ~1s).
+  /// Hessian-free, this is one CG solve per active record — the quadratic
+  /// bottleneck the paper reports (InfLoss takes 46s/iter vs ~1s). On the
+  /// exact-Hessian path it is one factorization plus two triangular
+  /// solves per record, linear in the record count.
   Result<std::vector<double>> SelfInfluenceAll() const;
 
  private:
@@ -109,10 +121,17 @@ class InfluenceScorer {
   /// Scores rows [begin, end) into their slots of `scores`, polling the
   /// cancel token per record; returns false when interrupted.
   bool ScoreRange(size_t begin, size_t end, std::vector<double>* scores) const;
-  /// Self-influence scores of rows [begin, end) (one CG solve each) into
+  /// x = (H + damping I)^-1 b for one record.
+  using Solver = std::function<Status(const Vec& b, Vec* x)>;
+  /// Self-influence scores of rows [begin, end) (one `solve` each) into
   /// `scores`; stops at the first failing solve or stop request.
-  Status SelfInfluenceRange(size_t begin, size_t end, const LinearOperator& op,
+  Status SelfInfluenceRange(size_t begin, size_t end, const Solver& solve,
                             std::vector<double>* scores) const;
+  /// Overwrites `factor` with the Cholesky factor of H + damping I from
+  /// one exact-Hessian pass and returns true; returns false when the
+  /// model has no exact Hessian at this l2 (solve by CG), Cancelled when
+  /// the stop token has fired.
+  Result<bool> FactorHessian(Matrix* factor) const;
 
   const Model* model_;
   const Dataset* train_;

@@ -34,6 +34,20 @@ class LogisticRegression : public Model {
                               Vec* grad, double* loss) const override;
   std::unique_ptr<Model> Clone() const override;
 
+  /// Largest parameter count with an exact Hessian. A Hessian pass costs
+  /// about p²/2 multiply-adds per row against p for a gradient pass, so
+  /// past this size Newton's few passes lose to L-BFGS's many cheap ones.
+  /// The crossover (see CHANGES.md) comes from a micro sweep over p alone:
+  /// every end-to-end logistic workload has p = 18 or 19, so neither side
+  /// of the cut-off is checked end to end. Revisit it when a workload with
+  /// a larger logistic model exists.
+  static constexpr size_t kExactHessianMaxParams = 32;
+
+  /// Hessian (1/n)·Σ p(1−p)·x̃x̃ᵀ + 2·l2·I with x̃ = [x; 1], for l2 > 0 and
+  /// at most kExactHessianMaxParams parameters.
+  bool MeanLossGradientHessian(const Dataset& data, double l2, Vec* grad,
+                               Matrix* hess, double* loss) const override;
+
   // Shard-exact per-row kernels: both the loss gradient and the HVP row
   // body are a single scalar coefficient times [x; 1].
   size_t loss_grad_coeff_size() const override { return 1; }
@@ -51,6 +65,11 @@ class LogisticRegression : public Model {
  private:
   /// w . x + b
   double Margin(const double* x) const;
+  /// Adds the unscaled loss, gradient and upper-triangle Hessian sums of
+  /// the active rows in [begin, end) to the zeroed `partial` (layout:
+  /// loss, then p gradient entries, then the p x p Hessian rows).
+  void AccumulateHessianBlock(const Dataset& data, size_t begin, size_t end,
+                              double* partial) const;
 
   size_t d_;
   bool fit_intercept_;

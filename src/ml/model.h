@@ -135,6 +135,30 @@ class Model {
                                       size_t end, Vec* grad, double* loss) const;
 
   // ----------------------------------------------------------------------
+  // Exact Hessian (small convex models).
+  //
+  // A model with few parameters can afford its full Hessian in one data
+  // pass. The trainer then takes Newton steps instead of L-BFGS and the
+  // influence scorer factors the Hessian (Cholesky) instead of running CG.
+  // ----------------------------------------------------------------------
+
+  /// One pass over the active rows of `data`: overwrites `hess` with the
+  /// exact num_params() x num_params() Hessian of the regularized mean
+  /// loss (2*l2*I included), `grad` with its gradient and `*loss` with the
+  /// loss (as MeanLoss); `grad` and `loss` may be null. Returns false, and
+  /// touches nothing, when the model has no exact Hessian at this `l2`:
+  /// the default, and the answer for any l2 <= 0, where the Hessian need
+  /// not be positive definite. Implementations must split rows into fixed
+  /// blocks whose layout is a pure function of data.size(), and combine
+  /// the block partials in block order, so the results are bitwise
+  /// identical at every parallelism.
+  virtual bool MeanLossGradientHessian(const Dataset& /*data*/, double /*l2*/,
+                                       Vec* /*grad*/, Matrix* /*hess*/,
+                                       double* /*loss*/) const {
+    return false;
+  }
+
+  // ----------------------------------------------------------------------
   // Shard-exact per-row kernels (see docs/architecture.md, "Shard plan").
   //
   // A data-loop body splits into an expensive nonlinear part (forward

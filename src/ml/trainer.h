@@ -20,9 +20,9 @@ struct TrainConfig {
   /// 1 = exact sequential arithmetic.
   int parallelism = 1;
   /// Optional cooperative stop handle (borrowed; must outlive the call),
-  /// forwarded to the L-BFGS loop and polled once per optimizer
-  /// iteration. On a stop request training returns the best iterate so
-  /// far with `TrainReport::interrupted = true` instead of erroring.
+  /// polled once per Newton or L-BFGS iteration. On a stop request
+  /// training returns the best iterate so far with
+  /// `TrainReport::interrupted = true` instead of erroring.
   const CancellationToken* cancel = nullptr;
   /// Optional sharded view over the SAME dataset handed to TrainModel
   /// (borrowed; must outlive the call). When set, loss/gradient
@@ -31,11 +31,14 @@ struct TrainConfig {
   /// training at every shard count x worker count — and the L-BFGS
   /// parameter-dimension vector kernels are pinned to their sequential
   /// path so the worker count never changes arithmetic. `parallelism`
-  /// then only bounds how many shard tasks run concurrently.
+  /// then only bounds how many shard tasks run concurrently. Newton
+  /// training does not read the view: its Hessian pass is already
+  /// bitwise identical at every worker count.
   const ShardedDataset* shards = nullptr;
 };
 
 struct TrainReport {
+  /// Accepted Newton or L-BFGS steps.
   int iterations = 0;
   double final_loss = 0.0;
   double grad_norm = 0.0;
@@ -46,7 +49,15 @@ struct TrainReport {
 };
 
 /// \brief Trains `model` on the active rows of `data` by minimizing the
-/// regularized mean cross-entropy with L-BFGS.
+/// regularized mean cross-entropy.
+///
+/// Models with an exact Hessian at `l2` (Model::MeanLossGradientHessian
+/// returns true: small logistic models with l2 > 0) take Newton
+/// steps with Armijo backtracking, one Hessian pass per probe; their
+/// parameters are bitwise identical at every `parallelism` and `shards`.
+/// Every other model runs L-BFGS. Both stop on the same test (infinity
+/// norm of the gradient at most `grad_tol`, or `max_iters` iterations)
+/// and poll `cancel` once per iteration.
 ///
 /// The model's current parameters are the starting point, so the
 /// debugger's train-rank-fix loop gets warm-start retraining for free

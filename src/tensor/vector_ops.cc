@@ -1150,6 +1150,12 @@ double NormSq(const Vec& x) {
   return acc;
 }
 
+double NormInf(const Vec& x) {
+  double m = 0.0;
+  for (double v : x) m = std::max(m, std::fabs(v));
+  return m;
+}
+
 double NormSq(const Vec& x, int parallelism) {
   if (parallelism <= 1 || x.size() < kParallelGrain) return NormSq(x);
   return ParallelSum(parallelism, x.size(), [&x](size_t begin, size_t end) {

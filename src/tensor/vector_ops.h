@@ -255,6 +255,9 @@ double Norm2(const Vec& x);
 double NormSq(const Vec& x);
 double NormSq(const Vec& x, int parallelism);
 
+/// max_i |x_i| (the optimizers' convergence test).
+double NormInf(const Vec& x);
+
 /// \brief Deterministic parallel accumulation: splits [0, n) into
 /// min(parallelism, n) chunks, hands each chunk a zeroed buffer of
 /// out->size() via body(begin, end, acc), then adds the buffers into *out in

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "common/cancellation.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
@@ -11,6 +13,7 @@
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
 #include "ml/model.h"
+#include "ml/sharded_dataset.h"
 #include "ml/softmax_regression.h"
 #include "ml/trainer.h"
 
@@ -345,13 +348,25 @@ TEST(TrainerTest, RejectsShapeMismatch) {
 
 TEST(TrainerTest, WarmStartConvergesFasterOrEqual) {
   Dataset d = RandomDataset(100, 4, 2, 53);
-  LogisticRegression m(4);
-  TrainConfig cfg;
-  auto first = TrainModel(&m, d, cfg);
-  ASSERT_TRUE(first.ok());
-  auto second = TrainModel(&m, d, cfg);
-  ASSERT_TRUE(second.ok());
-  EXPECT_LE(second->iterations, first->iterations);
+  auto check = [&](Model* m) {
+    TrainConfig cfg;
+    auto first = TrainModel(m, d, cfg);
+    ASSERT_TRUE(first.ok());
+    auto second = TrainModel(m, d, cfg);
+    ASSERT_TRUE(second.ok());
+    EXPECT_LE(second->iterations, first->iterations);
+  };
+  // Logistic trains by Newton, the binary softmax by L-BFGS.
+  LogisticRegression logistic(4);
+  SoftmaxRegression softmax(4, 2);
+  {
+    SCOPED_TRACE("logistic");
+    check(&logistic);
+  }
+  {
+    SCOPED_TRACE("softmax");
+    check(&softmax);
+  }
 }
 
 /// Parallel loss / gradient / HVP must agree with the sequential path for
@@ -556,8 +571,10 @@ void CheckTrainMatchesTwoPassObjective(Model* model, int parallelism,
 TEST(TrainerTest, FusedObjectiveMatchesTwoPassLbfgsBitwise) {
   for (int par : {1, 3}) {
     SCOPED_TRACE("parallelism=" + std::to_string(par));
-    LogisticRegression lr(5);
-    CheckTrainMatchesTwoPassObjective(&lr, par, 111);
+    // Logistic models train by Newton (see NewtonBitwiseAcrossWorkersAndShards);
+    // the binary softmax is the two-class model that still runs L-BFGS.
+    SoftmaxRegression binary(5, 2);
+    CheckTrainMatchesTwoPassObjective(&binary, par, 111);
     SoftmaxRegression softmax(5, 3);
     CheckTrainMatchesTwoPassObjective(&softmax, par, 112);
     Mlp mlp(5, 6, 3, /*seed=*/113);
@@ -567,20 +584,173 @@ TEST(TrainerTest, FusedObjectiveMatchesTwoPassLbfgsBitwise) {
 
 TEST(TrainerTest, ParallelTrainingReachesSequentialLoss) {
   Dataset d = RandomDataset(200, 4, 2, 79);
+  auto check = [&](const Model& prototype) {
+    TrainConfig cfg;
+    cfg.grad_tol = 1e-8;
+
+    std::unique_ptr<Model> seq = prototype.Clone();
+    auto seq_report = TrainModel(seq.get(), d, cfg);
+    ASSERT_TRUE(seq_report.ok());
+
+    cfg.parallelism = 4;
+    std::unique_ptr<Model> par = prototype.Clone();
+    auto par_report = TrainModel(par.get(), d, cfg);
+    ASSERT_TRUE(par_report.ok());
+    EXPECT_EQ(par->parallelism(), 4) << "trainer must install the knob on the model";
+    EXPECT_NEAR(par_report->final_loss, seq_report->final_loss, 1e-6);
+    EXPECT_LT(vec::MaxAbsDiff(par->params(), seq->params()), 1e-4);
+  };
+  // Logistic trains by Newton, the binary softmax by L-BFGS.
+  {
+    SCOPED_TRACE("logistic");
+    check(LogisticRegression(4));
+  }
+  {
+    SCOPED_TRACE("softmax");
+    check(SoftmaxRegression(4, 2));
+  }
+}
+
+// ------------------------------------------------- exact Hessian + Newton
+
+/// A dataset spanning three exact-Hessian blocks (2048 rows each), with
+/// holes at block and tile boundaries and a run of holes across one.
+Dataset HessianDataset(size_t d, uint64_t seed) {
+  Dataset data = RandomDataset(5000, d, 2, seed);
+  DeactivateBlockHoles(&data);
+  for (size_t i = 0; i < data.size(); i += 37) data.Deactivate(i);
+  for (size_t i = 2040; i < 2060; ++i) data.Deactivate(i);
+  data.Deactivate(4095);
+  data.Deactivate(4999);
+  return data;
+}
+
+TEST(LogisticTest, ExactHessianColumnsMatchHvpWithHoles) {
+  for (bool intercept : {true, false}) {
+    SCOPED_TRACE(intercept ? "intercept" : "no intercept");
+    LogisticRegression m(7, intercept);
+    RandomizeParams(&m, 121);
+    m.set_parallelism(3);
+    const Dataset data = HessianDataset(7, 122);
+    const double l2 = 1e-3;
+    Vec grad;
+    Matrix hess;
+    double loss = 0.0;
+    ASSERT_TRUE(m.MeanLossGradientHessian(data, l2, &grad, &hess, &loss));
+    ASSERT_EQ(hess.rows(), m.num_params());
+    ASSERT_EQ(hess.cols(), m.num_params());
+    EXPECT_NEAR(loss, m.MeanLoss(data, l2), 1e-12 * std::fabs(loss));
+    Vec grad_ref;
+    m.MeanLossGradient(data, l2, &grad_ref);
+    EXPECT_LT(vec::MaxAbsDiff(grad, grad_ref), 1e-12 * vec::Norm2(grad_ref));
+    for (size_t j = 0; j < m.num_params(); ++j) {
+      Vec unit(m.num_params(), 0.0);
+      unit[j] = 1.0;
+      Vec column;
+      m.HessianVectorProduct(data, unit, l2, &column);
+      double scale = 0.0;
+      for (double c : column) scale = std::max(scale, std::fabs(c));
+      for (size_t k = 0; k < m.num_params(); ++k) {
+        EXPECT_NEAR(hess.At(k, j), column[k], 1e-12 * scale) << "H[" << k << "," << j << "]";
+        EXPECT_EQ(hess.At(k, j), hess.At(j, k));
+      }
+    }
+  }
+}
+
+TEST(TrainerTest, NewtonBitwiseAcrossWorkersAndShards) {
+  Dataset data = HessianDataset(6, 131);
   TrainConfig cfg;
-  cfg.grad_tol = 1e-8;
+  LogisticRegression reference(6);
+  auto ref = TrainModel(&reference, data, cfg);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_TRUE(ref->converged);
+  auto same_bits = [&](const LogisticRegression& m) {
+    return std::memcmp(m.params().data(), reference.params().data(),
+                       reference.params().size() * sizeof(double)) == 0;
+  };
+  for (int par : {2, 4, 8}) {
+    cfg.parallelism = par;
+    LogisticRegression m(6);
+    auto report = TrainModel(&m, data, cfg);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->iterations, ref->iterations) << "parallelism=" << par;
+    EXPECT_TRUE(same_bits(m)) << "parallelism=" << par;
+  }
+  for (int shards : {1, 4}) {
+    ShardedDataset view(&data, ShardPlan::Uniform(data.size(), shards));
+    cfg.shards = &view;
+    cfg.parallelism = 4;
+    LogisticRegression m(6);
+    ASSERT_TRUE(TrainModel(&m, data, cfg).ok());
+    EXPECT_TRUE(same_bits(m)) << "shards=" << shards;
+  }
+}
 
-  LogisticRegression seq(4);
-  auto seq_report = TrainModel(&seq, d, cfg);
-  ASSERT_TRUE(seq_report.ok());
+TEST(TrainerTest, NewtonAgreesWithLbfgs) {
+  const Dataset data = HessianDataset(6, 141);
+  TrainConfig cfg;
+  cfg.grad_tol = 1e-10;
+  LogisticRegression newton(6);
+  auto report = TrainModel(&newton, data, cfg);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->converged);
+  EXPECT_LE(report->iterations, 10);
 
-  cfg.parallelism = 4;
-  LogisticRegression par(4);
-  auto par_report = TrainModel(&par, d, cfg);
-  ASSERT_TRUE(par_report.ok());
-  EXPECT_EQ(par.parallelism(), 4) << "trainer must install the knob on the model";
-  EXPECT_NEAR(par_report->final_loss, seq_report->final_loss, 1e-6);
-  EXPECT_LT(vec::MaxAbsDiff(par.params(), seq.params()), 1e-4);
+  LogisticRegression lbfgs(6);
+  Objective objective = [&](const Vec& theta, Vec* grad) {
+    lbfgs.set_params(theta);
+    return lbfgs.MeanLossAndGradient(data, cfg.l2, grad);
+  };
+  LbfgsOptions opts;
+  opts.grad_tol = cfg.grad_tol;
+  opts.max_iters = 2000;
+  const LbfgsResult res = LbfgsMinimize(objective, lbfgs.params(), opts);
+  ASSERT_TRUE(res.converged);
+  EXPECT_LT(vec::MaxAbsDiff(newton.params(), res.x), 1e-8);
+  EXPECT_NEAR(report->final_loss, res.fx, 1e-12);
+}
+
+/// Cancels `token` on the `cancel_at`-th Hessian pass, i.e. inside the
+/// line search of a Newton iteration.
+class CancelAfterPasses : public LogisticRegression {
+ public:
+  CancelAfterPasses(size_t d, CancellationToken* token, int cancel_at)
+      : LogisticRegression(d), token_(token), cancel_at_(cancel_at) {}
+  bool MeanLossGradientHessian(const Dataset& data, double l2, Vec* grad,
+                               Matrix* hess, double* loss) const override {
+    if (++passes_ == cancel_at_) token_->Cancel();
+    return LogisticRegression::MeanLossGradientHessian(data, l2, grad, hess, loss);
+  }
+
+ private:
+  CancellationToken* token_;
+  int cancel_at_;
+  mutable int passes_ = 0;
+};
+
+TEST(TrainerTest, NewtonCancelMidRunReturnsInterrupted) {
+  const Dataset data = HessianDataset(6, 151);
+  // Pass 1 evaluates the start; pass 2 is the first iteration's probe.
+  CancellationToken token;
+  CancelAfterPasses model(6, &token, /*cancel_at=*/2);
+  TrainConfig cfg;
+  cfg.cancel = &token;
+  auto report = TrainModel(&model, data, cfg);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->interrupted);
+  EXPECT_FALSE(report->converged);
+  EXPECT_EQ(report->iterations, 1);
+
+  // The model keeps the one accepted step: an uncancelled run capped at
+  // one iteration reaches the same parameters.
+  TrainConfig one_step;
+  one_step.max_iters = 1;
+  LogisticRegression capped(6);
+  auto capped_report = TrainModel(&capped, data, one_step);
+  ASSERT_TRUE(capped_report.ok());
+  EXPECT_FALSE(capped_report->interrupted);
+  EXPECT_EQ(model.params(), capped.params());
 }
 
 TEST(DatasetCowTest, CopiesAndViewsShareStorage) {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -190,27 +191,41 @@ TEST(ShardKernelsTest, MlpBitwiseAtEveryShardAndWorkerCount) {
   ExpectShardKernelsBitwise(&model, &data, 1e-3, 33);
 }
 
-TEST(ShardKernelsTest, ShardedTrainingMatchesSequentialBitwise) {
+/// Sharded training is bitwise the unsharded sequential training. Checked
+/// for a logistic model (Newton, which ignores the view) and a binary
+/// softmax (L-BFGS over the sharded objective).
+void CheckShardedTrainingMatchesSequential(const Model& prototype) {
   Dataset data = SmallDataset(120, 4, 24);
   TrainConfig cfg;
   cfg.l2 = 1e-3;
   cfg.max_iters = 200;
 
-  LogisticRegression reference(4);
-  ASSERT_TRUE(TrainModel(&reference, data, cfg).ok());
+  std::unique_ptr<Model> reference = prototype.Clone();
+  ASSERT_TRUE(TrainModel(reference.get(), data, cfg).ok());
 
   for (int shards : {1, 3, 4}) {
     ShardedDataset view(&data, ShardPlan::Uniform(data.size(), shards));
     TrainConfig sharded = cfg;
     sharded.shards = &view;
     sharded.parallelism = 4;  // scheduling only: arithmetic is pinned
-    LogisticRegression model(4);
-    ASSERT_TRUE(TrainModel(&model, data, sharded).ok());
-    EXPECT_EQ(model.params(), reference.params()) << "shards=" << shards;
+    std::unique_ptr<Model> model = prototype.Clone();
+    ASSERT_TRUE(TrainModel(model.get(), data, sharded).ok());
+    EXPECT_EQ(model->params(), reference->params()) << "shards=" << shards;
   }
 }
 
-TEST(ShardKernelsTest, CancelledShardedTrainingReportsInterrupted) {
+TEST(ShardKernelsTest, ShardedTrainingMatchesSequentialBitwise) {
+  {
+    SCOPED_TRACE("logistic");
+    CheckShardedTrainingMatchesSequential(LogisticRegression(4));
+  }
+  {
+    SCOPED_TRACE("softmax");
+    CheckShardedTrainingMatchesSequential(SoftmaxRegression(4, 2));
+  }
+}
+
+void CheckCancelledShardedTraining(const Model& prototype) {
   Dataset data = SmallDataset(120, 4, 27);
   ShardedDataset view(&data, ShardPlan::Uniform(data.size(), 3));
   CancellationToken token;
@@ -218,17 +233,29 @@ TEST(ShardKernelsTest, CancelledShardedTrainingReportsInterrupted) {
   TrainConfig cfg;
   cfg.shards = &view;
   cfg.cancel = &token;
-  LogisticRegression model(4);
-  const Vec warm_start = model.params();
-  auto report = TrainModel(&model, data, cfg);
+  std::unique_ptr<Model> model = prototype.Clone();
+  const Vec warm_start = model->params();
+  auto report = TrainModel(model.get(), data, cfg);
   ASSERT_TRUE(report.ok());
   // A cancelled sharded objective is poisoned (+inf), never accepted as
   // an iterate, and the run reconciles to interrupted — not to a
   // spurious zero-gradient "convergence" on fabricated values.
   EXPECT_TRUE(report->interrupted);
   EXPECT_FALSE(report->converged);
-  EXPECT_EQ(model.params(), warm_start)
+  EXPECT_EQ(model->params(), warm_start)
       << "an interrupted train must keep the last genuine iterate";
+}
+
+TEST(ShardKernelsTest, CancelledShardedTrainingReportsInterrupted) {
+  // Logistic trains by Newton, the binary softmax by sharded L-BFGS.
+  {
+    SCOPED_TRACE("logistic");
+    CheckCancelledShardedTraining(LogisticRegression(4));
+  }
+  {
+    SCOPED_TRACE("softmax");
+    CheckCancelledShardedTraining(SoftmaxRegression(4, 2));
+  }
 }
 
 TEST(ShardKernelsTest, TrainRejectsForeignShardView) {
@@ -243,15 +270,20 @@ TEST(ShardKernelsTest, TrainRejectsForeignShardView) {
 
 // --------------------------------------------- shard-parallel influence
 
+/// The influence tests below run on a logistic model (exact Hessian:
+/// Cholesky solves, which ignore the shard view) and on a binary softmax
+/// (CG over sharded Hessian-vector products).
+template <typename M>
 struct ScorerSetup {
   Dataset train;
-  LogisticRegression model{0};
+  M model;
   Vec q_grad;
   double l2 = 1e-3;
 };
 
-ScorerSetup MakeScorerSetup(size_t n, uint64_t seed) {
-  ScorerSetup s{SmallDataset(n, 4, seed), LogisticRegression(4), {}, 1e-3};
+template <typename M>
+ScorerSetup<M> MakeScorerSetup(size_t n, uint64_t seed, M model) {
+  ScorerSetup<M> s{SmallDataset(n, 4, seed), std::move(model), {}, 1e-3};
   TrainConfig cfg;
   cfg.l2 = s.l2;
   cfg.max_iters = 100;
@@ -263,61 +295,82 @@ ScorerSetup MakeScorerSetup(size_t n, uint64_t seed) {
   return s;
 }
 
-TEST(InfluenceShardTest, ScoreAllBitwiseIdenticalToSequential) {
-  ScorerSetup s = MakeScorerSetup(150, 41);
-
-  InfluenceOptions seq_opts;
-  seq_opts.l2 = s.l2;
-  InfluenceScorer sequential(&s.model, &s.train, seq_opts);
-  ASSERT_TRUE(sequential.Prepare(s.q_grad).ok());
-  const std::vector<double> ref = sequential.ScoreAll();
-
-  for (int shards : KernelShardCounts()) {
-    ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
-    InfluenceOptions opts;
-    opts.l2 = s.l2;
-    opts.shards = &view;
-    opts.parallelism = 8;  // ignored arithmetic-wise under sharding
-    InfluenceScorer scorer(&s.model, &s.train, opts);
-    // The CG solve behind Prepare runs over sharded HVPs (bitwise equal
-    // to sequential) with pinned vector kernels: same s_, same scores.
-    ASSERT_TRUE(scorer.Prepare(s.q_grad).ok());
-    EXPECT_EQ(scorer.ScoreAll(), ref) << "shards=" << shards;
+/// Runs `check` on a fresh logistic model and on a binary softmax.
+template <typename Check>
+void ForEachScorerModel(const Check& check) {
+  {
+    SCOPED_TRACE("logistic");
+    check(LogisticRegression(4));
+  }
+  {
+    SCOPED_TRACE("softmax");
+    check(SoftmaxRegression(4, 2));
   }
 }
 
+TEST(InfluenceShardTest, ScoreAllBitwiseIdenticalToSequential) {
+  ForEachScorerModel([](auto model) {
+    auto s = MakeScorerSetup(150, 41, std::move(model));
+
+    InfluenceOptions seq_opts;
+    seq_opts.l2 = s.l2;
+    InfluenceScorer sequential(&s.model, &s.train, seq_opts);
+    ASSERT_TRUE(sequential.Prepare(s.q_grad).ok());
+    // Each model takes the solver path it is here for.
+    EXPECT_EQ(sequential.cg_iterations() == 0,
+              (std::is_same_v<decltype(s.model), LogisticRegression>));
+    const std::vector<double> ref = sequential.ScoreAll();
+
+    for (int shards : KernelShardCounts()) {
+      ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
+      InfluenceOptions opts;
+      opts.l2 = s.l2;
+      opts.shards = &view;
+      opts.parallelism = 8;  // ignored arithmetic-wise under sharding
+      InfluenceScorer scorer(&s.model, &s.train, opts);
+      // Prepare's solve — a Cholesky factor of the block-ordered exact
+      // Hessian, or CG over sharded HVPs (bitwise equal to sequential)
+      // with pinned vector kernels — gives the same s_, same scores.
+      ASSERT_TRUE(scorer.Prepare(s.q_grad).ok());
+      EXPECT_EQ(scorer.ScoreAll(), ref) << "shards=" << shards;
+    }
+  });
+}
+
 TEST(InfluenceShardTest, SelfInfluenceBitwiseIdenticalToSequential) {
-  ScorerSetup s = MakeScorerSetup(40, 42);
+  ForEachScorerModel([](auto model) {
+    auto s = MakeScorerSetup(40, 42, std::move(model));
 
-  InfluenceOptions seq_opts;
-  seq_opts.l2 = s.l2;
-  InfluenceScorer sequential(&s.model, &s.train, seq_opts);
-  auto ref = sequential.SelfInfluenceAll();
-  ASSERT_TRUE(ref.ok());
+    InfluenceOptions seq_opts;
+    seq_opts.l2 = s.l2;
+    InfluenceScorer sequential(&s.model, &s.train, seq_opts);
+    auto ref = sequential.SelfInfluenceAll();
+    ASSERT_TRUE(ref.ok());
 
-  for (int shards : {2, 4}) {
-    ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
-    InfluenceOptions opts;
-    opts.l2 = s.l2;
-    opts.shards = &view;
-    InfluenceScorer scorer(&s.model, &s.train, opts);
-    auto got = scorer.SelfInfluenceAll();
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *ref) << "shards=" << shards;
-  }
+    for (int shards : {2, 4}) {
+      ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
+      InfluenceOptions opts;
+      opts.l2 = s.l2;
+      opts.shards = &view;
+      InfluenceScorer scorer(&s.model, &s.train, opts);
+      auto got = scorer.SelfInfluenceAll();
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *ref) << "shards=" << shards;
+    }
+  });
 }
 
 /// Cancels a shared token after a fixed number of per-record gradient
 /// evaluations — a deterministic way to trip the cancel mid-scoring.
-class CancelAfterNGradients : public LogisticRegression {
+template <typename Base>
+class CancelAfterNGradients : public Base {
  public:
-  CancelAfterNGradients(const LogisticRegression& base, int n,
-                        CancellationToken token)
-      : LogisticRegression(base), remaining_(n), token_(std::move(token)) {}
+  CancelAfterNGradients(const Base& base, int n, CancellationToken token)
+      : Base(base), remaining_(n), token_(std::move(token)) {}
 
   void AddExampleLossGradient(const double* x, int y, Vec* grad) const override {
     if (remaining_.fetch_sub(1) == 1) token_.Cancel();
-    LogisticRegression::AddExampleLossGradient(x, y, grad);
+    Base::AddExampleLossGradient(x, y, grad);
   }
 
  private:
@@ -326,51 +379,53 @@ class CancelAfterNGradients : public LogisticRegression {
 };
 
 TEST(InfluenceShardTest, CancelMidShardStopsWithinOneShardTask) {
-  ScorerSetup s = MakeScorerSetup(200, 43);
-  ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), 4));
+  ForEachScorerModel([](auto base) {
+    auto s = MakeScorerSetup(200, 43, std::move(base));
+    ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), 4));
 
-  // Uncancelled sharded reference: every active row scores nonzero for
-  // this workload (generic q_grad, no degenerate gradients).
-  InfluenceOptions ref_opts;
-  ref_opts.l2 = s.l2;
-  ref_opts.shards = &view;
-  InfluenceScorer reference(&s.model, &s.train, ref_opts);
-  ASSERT_TRUE(reference.Prepare(s.q_grad).ok());
-  const std::vector<double> full = reference.ScoreAll();
-  size_t active_nonzero = 0;
-  for (size_t i = 0; i < full.size(); ++i) {
-    if (s.train.active(i) && full[i] != 0.0) ++active_nonzero;
-  }
-  ASSERT_EQ(active_nonzero, s.train.num_active());
-
-  CancellationToken token;
-  CancelAfterNGradients model(s.model, /*n=*/5, token);
-  InfluenceOptions opts;
-  opts.l2 = s.l2;
-  opts.shards = &view;
-  opts.cancel = &token;
-  InfluenceScorer scorer(&model, &s.train, opts);
-  ASSERT_TRUE(scorer.Prepare(s.q_grad).ok());
-  const std::vector<double> partial = scorer.ScoreAll();
-
-  // The stop lands within one shard task: scoring halts per record, so
-  // some active rows stay unscored, and everything that was scored
-  // matches the uncancelled run exactly (per-record independence).
-  size_t scored = 0;
-  for (size_t i = 0; i < partial.size(); ++i) {
-    if (partial[i] != 0.0) {
-      EXPECT_EQ(partial[i], full[i]) << "i=" << i;
-      ++scored;
+    // Uncancelled sharded reference: every active row scores nonzero for
+    // this workload (generic q_grad, no degenerate gradients).
+    InfluenceOptions ref_opts;
+    ref_opts.l2 = s.l2;
+    ref_opts.shards = &view;
+    InfluenceScorer reference(&s.model, &s.train, ref_opts);
+    ASSERT_TRUE(reference.Prepare(s.q_grad).ok());
+    const std::vector<double> full = reference.ScoreAll();
+    size_t active_nonzero = 0;
+    for (size_t i = 0; i < full.size(); ++i) {
+      if (s.train.active(i) && full[i] != 0.0) ++active_nonzero;
     }
-  }
-  EXPECT_LT(scored, s.train.num_active())
-      << "cancellation must stop scoring before the dataset is exhausted";
+    ASSERT_EQ(active_nonzero, s.train.num_active());
 
-  // A stop request surfaces as Status::Cancelled from the Result-bearing
-  // sharded entry point.
-  auto self = scorer.SelfInfluenceAll();
-  ASSERT_FALSE(self.ok());
-  EXPECT_TRUE(self.status().IsCancelled()) << self.status().ToString();
+    CancellationToken token;
+    CancelAfterNGradients<decltype(s.model)> model(s.model, /*n=*/5, token);
+    InfluenceOptions opts;
+    opts.l2 = s.l2;
+    opts.shards = &view;
+    opts.cancel = &token;
+    InfluenceScorer scorer(&model, &s.train, opts);
+    ASSERT_TRUE(scorer.Prepare(s.q_grad).ok());
+    const std::vector<double> partial = scorer.ScoreAll();
+
+    // The stop lands within one shard task: scoring halts per record, so
+    // some active rows stay unscored, and everything that was scored
+    // matches the uncancelled run exactly (per-record independence).
+    size_t scored = 0;
+    for (size_t i = 0; i < partial.size(); ++i) {
+      if (partial[i] != 0.0) {
+        EXPECT_EQ(partial[i], full[i]) << "i=" << i;
+        ++scored;
+      }
+    }
+    EXPECT_LT(scored, s.train.num_active())
+        << "cancellation must stop scoring before the dataset is exhausted";
+
+    // A stop request surfaces as Status::Cancelled from the Result-bearing
+    // sharded entry point.
+    auto self = scorer.SelfInfluenceAll();
+    ASSERT_FALSE(self.ok());
+    EXPECT_TRUE(self.status().IsCancelled()) << self.status().ToString();
+  });
 }
 
 // ----------------------------------------------- end-to-end (sessions)

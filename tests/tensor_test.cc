@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "tensor/cholesky.h"
 #include "tensor/matrix.h"
 #include "tensor/vector_ops.h"
 
@@ -497,6 +498,81 @@ TEST(SimdTest, PrefixSuffixProductsExactRunningProducts) {
     EXPECT_EQ(pre[j + 1], pre[j] * c[j]) << j;
     EXPECT_EQ(suf[j], suf[j + 1] * c[j]) << j;
   }
+}
+
+// ------------------------------------------------------------- Cholesky
+
+TEST(CholeskyTest, FactorsAndSolvesKnownSpdMatrix) {
+  // A = L Lᵀ for an integer L, so every step is exact in doubles.
+  const double l_true[3][3] = {{2, 0, 0}, {1, 3, 0}, {-1, 2, 4}};
+  Matrix a(3, 3);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      double s = 0.0;
+      for (size_t k = 0; k < 3; ++k) s += l_true[i][k] * l_true[j][k];
+      a.At(i, j) = s;
+    }
+  }
+  const Matrix spd = a;
+  ASSERT_TRUE(CholeskyFactor(&a).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 3; ++j) EXPECT_EQ(a.At(i, j), l_true[i][j]) << i << "," << j;
+  }
+  // b = A x for x = (1, -2, 3); the solve recovers x.
+  const Vec x_true{1.0, -2.0, 3.0};
+  Vec b = spd.MatVec(x_true);
+  CholeskySolve(a, &b);
+  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-14);
+}
+
+TEST(CholeskyTest, SolvesRandomSpdSystems) {
+  Rng rng(71);
+  for (size_t p : {1u, 2u, 7u, 19u}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    // A = BᵀB + 0.5 I is symmetric positive definite.
+    Matrix b(p, p);
+    for (double& v : b.data()) v = rng.Gaussian();
+    Matrix a(p, p);
+    for (size_t i = 0; i < p; ++i) {
+      for (size_t j = 0; j < p; ++j) {
+        double s = i == j ? 0.5 : 0.0;
+        for (size_t k = 0; k < p; ++k) s += b.At(k, i) * b.At(k, j);
+        a.At(i, j) = s;
+      }
+    }
+    Vec x_true(p);
+    for (double& v : x_true) v = rng.Gaussian();
+    Vec rhs = a.MatVec(x_true);
+    Matrix l = a;
+    ASSERT_TRUE(CholeskyFactor(&l).ok());
+    for (size_t i = 0; i < p; ++i) {
+      for (size_t j = i + 1; j < p; ++j) EXPECT_EQ(l.At(i, j), 0.0);
+    }
+    CholeskySolve(l, &rhs);
+    EXPECT_LT(vec::MaxAbsDiff(rhs, x_true), 1e-9);
+  }
+}
+
+TEST(CholeskyTest, NonPositivePivotIsAStatus) {
+  Matrix indefinite(2, 2);
+  indefinite.At(0, 0) = 1.0;
+  indefinite.At(0, 1) = indefinite.At(1, 0) = 2.0;
+  indefinite.At(1, 1) = 1.0;  // second pivot 1 - 4 < 0
+  Status st = CholeskyFactor(&indefinite);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+
+  Matrix singular(2, 2, 1.0);  // second pivot exactly 0
+  EXPECT_EQ(CholeskyFactor(&singular).code(), StatusCode::kInternal);
+
+  Matrix negative(1, 1, -1.0);
+  EXPECT_EQ(CholeskyFactor(&negative).code(), StatusCode::kInternal);
+
+  Matrix not_a_number(1, 1, std::nan(""));
+  EXPECT_EQ(CholeskyFactor(&not_a_number).code(), StatusCode::kInternal);
+
+  Matrix rectangular(2, 3, 1.0);
+  EXPECT_EQ(CholeskyFactor(&rectangular).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
